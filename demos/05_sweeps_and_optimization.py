@@ -50,7 +50,7 @@ spec = SweepSpec(
     objective="pm_at_tm",
     t_m=t_m,
 )
-result = run_sweep(spec, n_workers=4)
+result = run_sweep(spec)
 header = "  gtl \\ a2 " + "".join(f"{a:>10.4f}" for a in result.axis2_values)
 print(header)
 for g, row in zip(result.axis1_values, result.values):

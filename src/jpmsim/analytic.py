@@ -42,21 +42,21 @@ class PoleSet:
     poles: np.ndarray  # complex, length 4, poles[0] == 0
     residues: np.ndarray  # complex, length 4, residues[0] == 1
 
-    def reconstruct(self, t) -> np.ndarray:
-        """Time-domain pm(t) = sum_i residue_i exp(pole_i t), real part."""
+    def _residue_sum(self, t) -> np.ndarray:
+        """Complex sum_i residue_i exp(pole_i t)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         vals = np.zeros(t.shape, dtype=complex)
         for s, r in zip(self.poles, self.residues):
             vals += r * np.exp(s * t)
-        return np.real(vals)
+        return vals
+
+    def reconstruct(self, t) -> np.ndarray:
+        """Time-domain pm(t) = sum_i residue_i exp(pole_i t), real part."""
+        return np.real(self._residue_sum(t))
 
     def reconstruct_imag_max(self, t) -> float:
         """Largest |imaginary part| of the reconstruction (conjugacy check)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = np.zeros(t.shape, dtype=complex)
-        for s, r in zip(self.poles, self.residues):
-            vals += r * np.exp(s * t)
-        return float(np.max(np.abs(np.imag(vals))))
+        return float(np.max(np.abs(np.imag(self._residue_sum(t)))))
 
 
 def _require_lossless(params: DetectorParams, what: str) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,49 +21,76 @@ from . import analytic, meanfield, pulses, rate, sweep
 from .core import DetectorParams, DriveSpec, omega_from_ghz
 
 
+#: Defaults of the detector parameters and the drive, shared by the flags and
+#: the sweep spec's ``params`` and ``drive`` blocks, which use the same names
+#: (except that the spec calls the drive kind ``kind``).
+PARAM_DEFAULTS = {
+    "gamma_tl": 1.0,
+    "gamma_0": 0.0,
+    "gamma_1": 1.0,
+    "gamma_rel": 0.0,
+    "gamma_res": 0.0,
+    "freq": 5.0,
+}
+DRIVE_DEFAULTS = {
+    "drive": "continuous",
+    "alpha_sq": 0.0,
+    "kappa": None,
+    "sigma": None,
+    "t0": None,
+    "paper_literal": False,
+    "pulse_file": None,
+}
+
+
 def _add_rate_args(p: argparse.ArgumentParser, with_res: bool = True) -> None:
-    p.add_argument("--gamma-tl", type=float, default=1.0, help="coupling rate [GHz]")
-    p.add_argument("--gamma-0", type=float, default=0.0, help="dark count rate [GHz]")
-    p.add_argument("--gamma-1", type=float, default=1.0, help="measurement rate [GHz]")
-    p.add_argument("--gamma-rel", type=float, default=0.0, help="relaxation rate [GHz]")
+    d = PARAM_DEFAULTS
+    p.add_argument("--gamma-tl", type=float, default=d["gamma_tl"], help="coupling rate [GHz]")
+    p.add_argument("--gamma-0", type=float, default=d["gamma_0"], help="dark count rate [GHz]")
+    p.add_argument("--gamma-1", type=float, default=d["gamma_1"], help="measurement rate [GHz]")
+    p.add_argument("--gamma-rel", type=float, default=d["gamma_rel"], help="relaxation rate [GHz]")
     if with_res:
-        p.add_argument("--gamma-res", type=float, default=0.0, help="reset rate [GHz]")
-    p.add_argument("--freq", type=float, default=5.0, help="omega_0 / 2 pi [GHz]")
+        p.add_argument("--gamma-res", type=float, default=d["gamma_res"], help="reset rate [GHz]")
+    p.add_argument("--freq", type=float, default=d["freq"], help="omega_0 / 2 pi [GHz]")
 
 
-def _params(args, gamma_res=None) -> DetectorParams:
+def _params(values: dict) -> DetectorParams:
+    """Detector parameters from flag values or a sweep spec's ``params`` block."""
+    v = {**PARAM_DEFAULTS, **values}
     return DetectorParams(
-        gamma_tl=args.gamma_tl,
-        gamma_0=args.gamma_0,
-        gamma_1=args.gamma_1,
-        gamma_rel=args.gamma_rel,
-        gamma_res=getattr(args, "gamma_res", 0.0) if gamma_res is None else gamma_res,
-        omega_0=omega_from_ghz(args.freq),
+        gamma_tl=v["gamma_tl"],
+        gamma_0=v["gamma_0"],
+        gamma_1=v["gamma_1"],
+        gamma_rel=v["gamma_rel"],
+        gamma_res=v["gamma_res"],
+        omega_0=omega_from_ghz(v["freq"]),
     )
 
 
-def _drive(args, omega_s: float) -> DriveSpec:
-    kind = args.drive
+def _drive(values: dict, omega_s: float) -> DriveSpec:
+    """Drive from flag values or a sweep spec's ``drive`` block."""
+    v = {**DRIVE_DEFAULTS, **values}
+    kind, alpha_sq = v["drive"], v["alpha_sq"]
+
+    def required(name):
+        if v[name] is None:
+            raise ValueError(f"{kind} drive requires {name} (--{name.replace('_', '-')})")
+        return v[name]
+
     if kind == "continuous":
-        return DriveSpec.continuous(args.alpha_sq, omega_s)
+        return DriveSpec.continuous(alpha_sq, omega_s)
     if kind == "exp":
-        if args.kappa is None:
-            raise SystemExit("--kappa required for exponential drive")
-        return DriveSpec.exponential(args.alpha_sq, omega_s, args.kappa)
+        return DriveSpec.exponential(alpha_sq, omega_s, required("kappa"))
     if kind == "gauss":
-        if args.sigma is None:
-            raise SystemExit("--sigma required for gaussian drive")
         return DriveSpec.gaussian(
-            args.alpha_sq, omega_s, args.sigma, args.t0,
-            paper_literal=args.paper_literal,
+            alpha_sq, omega_s, required("sigma"), v["t0"],
+            paper_literal=v["paper_literal"],
         )
     if kind == "tab":
-        if args.pulse_file is None:
-            raise SystemExit("--pulse-file required for tabulated drive")
-        env = pulses.load_tabulated_csv(args.pulse_file)
+        env = pulses.load_tabulated_csv(required("pulse_file"))
         grid = np.linspace(env.t_start, env.t_end, 1024)
-        return DriveSpec.tabulated(args.alpha_sq, omega_s, grid, env(grid))
-    raise SystemExit(f"unknown drive kind {kind!r}")
+        return DriveSpec.tabulated(alpha_sq, omega_s, grid, env(grid))
+    raise ValueError(f"unknown drive kind {kind!r}")
 
 
 def _emit(text: str, output) -> None:
@@ -74,14 +102,10 @@ def _emit(text: str, output) -> None:
 
 
 def cmd_simulate(args) -> int:
-    params = _params(args, gamma_res=0.0)
-    drive = _drive(args, params.omega_0)
+    params = _params(vars(args))
+    drive = _drive(vars(args), params.omega_0)
     cfg = meanfield.IntegratorConfig(t_end=args.t_end, n_samples=args.samples)
-    try:
-        traj = meanfield.integrate(params, drive, cfg)
-    except meanfield.IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 3
+    traj = meanfield.integrate(params, drive, cfg)
     if args.output:
         traj.to_csv(args.output)
     print(f"pm(t_end) = {traj.pm[-1]:.6f} at t_end = {traj.times[-1]:.6g} ns")
@@ -89,24 +113,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    params = _params(args, gamma_res=0.0)
+    params = _params(vars(args))
     drive = DriveSpec.continuous(args.alpha_sq, params.omega_0)
     cfg = meanfield.IntegratorConfig(t_end=args.t_end, n_samples=args.samples)
-    try:
-        traj = meanfield.integrate(params, drive, cfg)
-    except meanfield.IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 3
+    traj = meanfield.integrate(params, drive, cfg)
     _, pm_rate = rate.closed_form_p1_pm(params, args.alpha_sq, traj.times)
     gap = traj.pm - pm_rate
     lines = ["t,pm_meanfield,pm_rate"]
     for t, a, b in zip(traj.times, traj.pm, pm_rate):
         lines.append(f"{t:.9g},{a:.12g},{b:.12g}")
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        print("\n".join(lines))
+    _emit("\n".join(lines), args.output)
     print(
         f"max abs gap = {np.max(np.abs(gap)):.6g}, "
         f"mean abs gap = {np.mean(np.abs(gap)):.6g}",
@@ -116,22 +132,20 @@ def cmd_compare(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
+    params = _params(vars(args))
     if args.ideal:
-        p = _params(args, gamma_res=0.0)
-        eta = 4.0 * p.gamma_tl * p.gamma_1 / (p.gamma_tl + p.gamma_1) ** 2
-        _emit(f"{eta:.9f}", args.output)
+        # with gamma_0 = gamma_rel = 0, eta_max is 1 and eta_loss is the efficiency
+        p = replace(params, gamma_0=0.0, gamma_rel=0.0)
+        _emit(f"{rate.eta_loss(p) * rate.eta_max(p):.9f}", args.output)
         return 0
-    params = _params(args)
     report = rate.build_report(params, n_in=args.n_in)
     _emit(report.to_json(), args.output)
     return 0
 
 
 def cmd_nep(args) -> int:
-    params = _params(args)
+    params = _params(vars(args))
     if args.matched:
-        from dataclasses import replace
-
         params = replace(params, gamma_tl=rate.matching_gamma_tl(params))
     value = rate.nep(params)
     _emit(json.dumps({"nep": value, "units": "W/sqrt(Hz)"}), args.output)
@@ -139,13 +153,13 @@ def cmd_nep(args) -> int:
 
 
 def cmd_match(args) -> int:
-    params = _params(args, gamma_res=0.0)
+    params = _params(vars(args))
     _emit(f"{rate.matching_gamma_tl(params):.9g}", args.output)
     return 0
 
 
 def cmd_analytic(args) -> int:
-    params = _params(args, gamma_res=0.0)
+    params = _params(vars(args))
     if args.mode == "poles":
         ps = analytic.continuous_pm_poles(params, args.alpha_sq)
         data = {
@@ -155,20 +169,16 @@ def cmd_analytic(args) -> int:
         _emit(json.dumps(data, indent=2), args.output)
         return 0
     if args.kappa is None:
-        raise SystemExit("--kappa required for exp-steady")
+        raise ValueError("--kappa required for exp-steady")
     value = analytic.exp_pulse_steady_state(params, args.alpha_sq, args.kappa, args.order)
     _emit(f"{value:.9g}", args.output)
     return 0
 
 
 def cmd_optimize(args) -> int:
-    params = _params(args, gamma_res=0.0)
+    params = _params(vars(args))
     drive = DriveSpec.continuous(args.alpha_sq, params.omega_0)
-    try:
-        res = sweep.optimize_gamma_tl(drive, params, args.t_m)
-    except meanfield.IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 3
+    res = sweep.optimize_gamma_tl(drive, params, args.t_m)
     data = {
         "gamma_tl_max": res.gamma_tl,
         "ratio_to_gamma_1": res.gamma_tl / params.gamma_1,
@@ -179,58 +189,51 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+SPEC_KEYS = frozenset({"axis1", "axis2", "objective", "params", "drive", "t_m", "n_in"})
+#: A spec's drive block names the drive kind ``kind`` where the flag is --drive.
+SPEC_DRIVE_KEYS = frozenset((DRIVE_DEFAULTS.keys() - {"drive"}) | {"kind"})
+
+
+def _checked(block, known, where: str) -> dict:
+    """A JSON object of the sweep spec, every key of which is in ``known``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = set(block) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    return block
+
+
+def _axis(raw: dict, key: str) -> sweep.SweepAxis:
+    if key not in raw:
+        raise ValueError(f"sweep spec needs {key!r}")
+    try:
+        return sweep.SweepAxis(**raw[key])
+    except TypeError as exc:  # missing, unknown or mistyped axis fields
+        raise ValueError(f"sweep spec {key}: {exc}") from exc
+
+
 def cmd_sweep(args) -> int:
     with open(args.spec) as fh:
-        raw = json.load(fh)
-    known = {"axis1", "axis2", "objective", "params", "drive", "t_m", "n_in"}
-    unknown = set(raw) - known
-    if unknown:
-        raise SystemExit(f"unknown sweep spec keys: {sorted(unknown)}")
-    params = DetectorParams(
-        gamma_tl=raw["params"].get("gamma_tl", 1.0),
-        gamma_0=raw["params"].get("gamma_0", 0.0),
-        gamma_1=raw["params"].get("gamma_1", 1.0),
-        gamma_rel=raw["params"].get("gamma_rel", 0.0),
-        gamma_res=raw["params"].get("gamma_res", 0.0),
-        omega_0=omega_from_ghz(raw["params"].get("freq", 5.0)),
-    )
-    draw = raw.get("drive", {"kind": "continuous", "alpha_sq": 0.0})
-    kind = draw.get("kind", "continuous")
-    if kind == "continuous":
-        drive = DriveSpec.continuous(draw.get("alpha_sq", 0.0), params.omega_0)
-    elif kind == "exp":
-        drive = DriveSpec.exponential(draw["alpha_sq"], params.omega_0, draw["kappa"])
-    elif kind == "gauss":
-        drive = DriveSpec.gaussian(
-            draw["alpha_sq"], params.omega_0, draw["sigma"], draw.get("t0")
-        )
-    else:
-        raise SystemExit(f"unknown drive kind {kind!r} in sweep spec")
-
-    def axis(d):
-        return sweep.SweepAxis(
-            name=d["name"],
-            min=d["min"],
-            max=d["max"],
-            points=d["points"],
-            scale=d.get("scale", "log"),
-        )
-
+        raw = _checked(json.load(fh), SPEC_KEYS, "sweep spec")
+    params = _params(_checked(raw.get("params", {}), PARAM_DEFAULTS, "sweep spec params"))
+    draw = _checked(raw.get("drive", {}), SPEC_DRIVE_KEYS, "sweep spec drive")
+    drive = _drive({**draw, "drive": draw.get("kind", DRIVE_DEFAULTS["drive"])}, params.omega_0)
     spec = sweep.SweepSpec(
-        axis1=axis(raw["axis1"]),
-        axis2=axis(raw["axis2"]) if "axis2" in raw else None,
+        axis1=_axis(raw, "axis1"),
+        axis2=_axis(raw, "axis2") if "axis2" in raw else None,
         params=params,
         drive=drive,
         objective=raw.get("objective", "pm_at_tm"),
         t_m=raw.get("t_m"),
         n_in=raw.get("n_in"),
     )
-    result = sweep.run_sweep(spec, n_workers=args.workers)
+    if args.format == "csv" and not args.output:
+        raise ValueError("csv sweep output requires --output")
+    result = sweep.run_sweep(spec)
     if args.format == "json":
         _emit(result.to_json(), args.output)
     else:
-        if not args.output:
-            raise SystemExit("csv sweep output requires --output")
         result.to_csv(args.output)
         print(f"wrote {args.output}")
     if result.errors:
@@ -238,8 +241,29 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that records its subcommand parsers and the destination
+    of every argument it is given, so that ``--config`` keys can be matched
+    to subcommands."""
+
+    def __init__(self, *args, **kwargs):
+        self.dests = set()
+        self.subcommands = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self.subcommands = action.choices
+        return action
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jpmsim",
         description="Two-level microwave photon counter: simulation and design optimization",
     )
@@ -253,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the mean-field dynamics")
     _add_rate_args(p, with_res=False)
     p.add_argument("--drive", choices=["continuous", "exp", "gauss", "tab"], required=True)
-    p.add_argument("--alpha-sq", type=float, default=0.0)
+    p.add_argument("--alpha-sq", type=float, default=DRIVE_DEFAULTS["alpha_sq"])
     p.add_argument("--kappa", type=float, default=None, help="exp pulse rate [GHz]")
     p.add_argument("--sigma", type=float, default=None, help="gaussian width [GHz]")
     p.add_argument("--t0", type=float, default=None, help="gaussian center [ns]")
@@ -313,50 +337,50 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a declarative parameter sweep")
     p.add_argument("--spec", required=True, help="sweep spec JSON file")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int,
+        help="accepted for old command lines and ignored: cells run serially",
+    )
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1]
-    with open(path) as fh:
-        cfg = json.load(fh)
-    valid = set()
-    for action in parser._actions:
-        valid.add(action.dest)
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                valid.update(a.dest for a in sp._actions)
-    unknown = set(cfg) - valid
+def _apply_config(parser: _Parser, config: dict) -> None:
+    """Make each config key the default of every subcommand that has it."""
+    subparsers = parser.subcommands.values()
+    unknown = set(config) - set().union(*(sp.dests for sp in subparsers))
     if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    parser.set_defaults(**cfg)
-    if isinstance(parser._subparsers, argparse._ArgumentGroup):
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sp in action.choices.values():
-                    sp.set_defaults(
-                        **{k: v for k, v in cfg.items() if k in {a.dest for a in sp._actions}}
-                    )
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for sp in subparsers:
+        sp.set_defaults(**{k: v for k, v in config.items() if k in sp.dests})
+
+
+def _read_config(argv) -> dict:
+    """The JSON file named by ``--config``, or {} when the flag is absent."""
+    pre = argparse.ArgumentParser(prog="jpmsim", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return {}
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    return config
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config(parser, list(argv))
+        parser = build_parser()
+        _apply_config(parser, _read_config(argv))
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 0 if exc.code in (0, None) else 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except meanfield.IntegrationError as exc:

@@ -19,11 +19,6 @@ TWO_PI = 2.0 * np.pi
 SIMPLEX_EPS = 1e-6
 
 
-def rate_from_ghz(value_ghz: float) -> float:
-    """Convert a rate in GHz to internal units (1/ns). Numerically identity."""
-    return float(value_ghz)
-
-
 def omega_from_ghz(freq_ghz: float) -> float:
     """Convert an ordinary frequency in GHz to an angular frequency in rad/ns."""
     return TWO_PI * float(freq_ghz)

@@ -79,9 +79,6 @@ class Trajectory:
     drive: DriveSpec
     params: DetectorParams
 
-    def state_at(self, i: int) -> MeanFieldState:
-        return MeanFieldState(self.v[i], self.p0[i], self.p1[i], self.pm[i])
-
     def reflection(self) -> np.ndarray:
         return reflection_series(self)
 
@@ -279,8 +276,7 @@ def reflection_series(traj: Trajectory) -> np.ndarray:
 
     |R| > 1 is possible when p1 > p0 (amplification by emission).
     """
-    p = traj.params
-    return -1.0 + (2.0 * p.gamma_tl / p.gamma_tilde) * (traj.p0 - traj.p1)
+    return reflection_coefficient(traj.params, traj.p0, traj.p1)
 
 
 def reflection_coefficient(params: DetectorParams, p0, p1):

@@ -142,11 +142,6 @@ def envelope_for(drive: DriveSpec) -> Envelope:
     raise ValueError(f"no envelope for drive kind {drive.kind}")
 
 
-def evaluate(env: Envelope, t) -> float | np.ndarray:
-    """Amplitude of the envelope at time t [1/sqrt(ns)]."""
-    return env(t)
-
-
 def squared_norm(env: Envelope) -> float:
     """Quadrature of |f|^2 over the effective support (should be 1)."""
     if env.kind is DriveKind.TABULATED:

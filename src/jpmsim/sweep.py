@@ -1,8 +1,10 @@
 """Parameter sweeps (1D/2D) and 1D maximization of the figure-of-merit.
 
-Grid cells are independent; failures are isolated per cell so a stiff
-corner cannot kill a whole run. Rate-like axes default to log scale since
-the interesting structure spans decades.
+Grid cells are independent and run serially in row-major order; failures
+are isolated per cell so a stiff corner cannot kill a whole run. A thread
+pool does not help here: each cell holds the interpreter lock for its whole
+integration, and threads measured slower than the serial loop. Rate-like
+axes default to log scale since the interesting structure spans decades.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -154,53 +155,29 @@ def _evaluate_cell(spec: SweepSpec, assignments) -> float:
     raise AssertionError(spec.objective)
 
 
-def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
-    """Evaluate the objective on the dense grid.
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the objective on the dense grid, one cell after another.
 
     Deterministic for a given spec; per-cell failures become NaN and are
-    listed in the result. Parallel and serial execution fill the same
-    preallocated slots and therefore produce identical grids.
+    listed in the result.
     """
-    g1 = spec.axis1.grid()
-    if spec.axis2 is None:
-        cells = [((i,), [(spec.axis1.name, g1[i])]) for i in range(g1.size)]
-        values = np.full(g1.size, np.nan)
-        g2 = None
-    else:
-        g2 = spec.axis2.grid()
-        cells = [
-            ((i, j), [(spec.axis1.name, g1[i]), (spec.axis2.name, g2[j])])
-            for i in range(g1.size)
-            for j in range(g2.size)
-        ]
-        values = np.full((g1.size, g2.size), np.nan)
-
+    axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
+    grids = [ax.grid() for ax in axes]
+    values = np.full([g.size for g in grids], np.nan)
     errors = []
-
-    def work(cell):
-        idx, assignments = cell
+    for idx in np.ndindex(values.shape):
+        assignments = [(ax.name, g[i]) for ax, g, i in zip(axes, grids, idx)]
         try:
-            return idx, _evaluate_cell(spec, assignments), None
-        except Exception as exc:  # per-cell isolation
-            return idx, math.nan, exc
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(c) for c in cells]
-
-    for idx, val, exc in results:
-        values[idx] = val
-        if exc is not None:
+            values[idx] = _evaluate_cell(spec, assignments)
+        except Exception:  # per-cell isolation
             errors.append(idx)
 
     return SweepResult(
         spec=spec,
-        axis1_values=g1,
-        axis2_values=g2,
+        axis1_values=grids[0],
+        axis2_values=grids[1] if spec.axis2 is not None else None,
         values=values,
-        errors=tuple(sorted(errors)),
+        errors=tuple(errors),
     )
 
 

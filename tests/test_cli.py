@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jpmsim import analytic
+from jpmsim import analytic, meanfield
 from jpmsim.cli import main
 from jpmsim.core import DetectorParams, omega_from_ghz
 
@@ -237,8 +237,9 @@ class TestSweep:
     def test_unknown_spec_key(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"axes": []}))
-        with pytest.raises(SystemExit):
-            main(["sweep", "--spec", str(spec_path)])
+        code, _, err = run(capsys, "sweep", "--spec", str(spec_path))
+        assert code == 2
+        assert "axes" in err
 
 
 class TestConfig:
@@ -258,3 +259,73 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_flag": 1}))
         assert main(["--config", str(cfg), "match"]) == 2
+
+
+AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}
+
+
+@pytest.mark.parametrize("argv,spec,problem", [
+    (["simulate", "--drive", "exp", "--alpha-sq", "0.1"], None, "kappa"),
+    (["simulate", "--drive", "gauss", "--alpha-sq", "0.1"], None, "sigma"),
+    (["simulate", "--drive", "tab", "--alpha-sq", "0.1"], None, "pulse-file"),
+    (["analytic", "--mode", "exp-steady", "--alpha-sq", "0.1"], None, "kappa"),
+    (["sweep"], {"axis1": AXIS, "objective": "eta"}, "--output"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "drive": {"kind": "tab", "alpha_sq": 0.1}, "t_m": 5.0}, "pulse_file"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "drive": {"kind": "exp", "alpha_sq": 0.1}, "t_m": 5.0}, "kappa"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "drive": {"kind": "square"}, "t_m": 5.0}, "square"),
+    (["sweep", "--format", "json"], {"objective": "eta"}, "axis1"),
+    (["sweep", "--format", "json"],
+     {"axis1": {"name": "gamma_tl", "min": 0.5, "max": 2.0}, "t_m": 5.0}, "points"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "params": {"gama_1": 2.0}, "t_m": 5.0}, "gama_1"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "drive": {"kind": "exp", "kapa": 2.0}, "t_m": 5.0}, "kapa"),
+    (["--config"], None, "--config"),
+])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, spec, problem):
+    if spec is not None:
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = argv + ["--spec", str(spec_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert problem in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,block", [
+    (["--drive", "exp", "--kappa", "3"], {"kind": "exp", "kappa": 3.0}),
+    (["--drive", "gauss", "--sigma", "1.5", "--t0", "5"],
+     {"kind": "gauss", "sigma": 1.5, "t0": 5.0}),
+    (["--drive", "gauss", "--sigma", "1.5", "--paper-literal"],
+     {"kind": "gauss", "sigma": 1.5, "paper_literal": True}),
+    (["--drive", "tab", "--pulse-file", "pulse.csv"],
+     {"kind": "tab", "pulse_file": "pulse.csv"}),
+])
+def test_simulate_and_sweep_build_the_same_drive(
+        capsys, tmp_path, monkeypatch, flags, block):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pulse.csv").write_text("t,f\n0,0\n1,1\n3,0\n")
+    seen = []
+    integrate = meanfield.integrate
+
+    def spy(params, drive, cfg=None):
+        seen.append((params, drive))
+        return integrate(params, drive, cfg)
+
+    monkeypatch.setattr(meanfield, "integrate", spy)
+    assert main(["simulate", "--alpha-sq", "0.2", "--gamma-1", "1.3", *flags]) == 0
+    spec = {
+        "axis1": {"name": "gamma_tl", "min": 1.0, "max": 1.0, "points": 1},
+        "params": {"gamma_1": 1.3},
+        "drive": {"alpha_sq": 0.2, **block},
+        "t_m": 5.0,
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["sweep", "--spec", "spec.json", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(seen) == 2
+    assert seen[0] == seen[1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jpmsim import meanfield, rate, sweep
+from jpmsim.cli import main
 from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
 
 OMEGA = omega_from_ghz(5.0)
@@ -124,17 +125,23 @@ class TestRunSweep:
         assert np.all(np.isnan(res.values))
         assert len(res.errors) == 3
 
-    def test_parallel_matches_serial(self):
-        p = make_params()
-        spec = sweep.SweepSpec(
-            axis1=sweep.SweepAxis("gamma_tl", 0.2, 5.0, 6),
-            axis2=sweep.SweepAxis("alpha_sq", 0.01, 1.0, 4),
-            params=p, drive=DriveSpec.continuous(0.1, OMEGA), t_m=10.0,
-        )
-        serial = sweep.run_sweep(spec, n_workers=1)
-        parallel = sweep.run_sweep(spec, n_workers=4)
-        assert np.array_equal(serial.values, parallel.values)
-        assert serial.errors == parallel.errors
+    def test_parallel_matches_serial(self, capsys, tmp_path):
+        # `jpmsim sweep --workers N` is accepted and ignored: same bytes out
+        spec = {
+            "axis1": {"name": "gamma_tl", "min": 0.2, "max": 5.0, "points": 6},
+            "axis2": {"name": "alpha_sq", "min": 0.01, "max": 1.0, "points": 4},
+            "drive": {"kind": "continuous", "alpha_sq": 0.1},
+            "t_m": 10.0,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["sweep", "--spec", str(spec_path), "--format", "json"]
+        outputs = []
+        for extra in ([], ["--workers", "4"]):
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["failed_cells"] == []
 
     def test_determinism(self):
         p = make_params()
