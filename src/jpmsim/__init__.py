@@ -5,8 +5,6 @@ from .core import (
     DetectorParams,
     DriveKind,
     DriveSpec,
-    MeanFieldState,
-    gamma_tilde,
     photon_flux,
     photon_number,
 )
@@ -25,8 +23,6 @@ __all__ = [
     "DetectorParams",
     "DriveKind",
     "DriveSpec",
-    "MeanFieldState",
-    "gamma_tilde",
     "photon_flux",
     "photon_number",
     "IntegratorConfig",

@@ -66,8 +66,18 @@ def _require_lossless(params: DetectorParams, what: str) -> None:
         )
 
 
-def _rabi_sq_continuous(params: DetectorParams, alpha_sq: float) -> float:
-    return 2.0 * alpha_sq * params.gamma_tl * params.omega_0 / np.pi
+def _cubic(params: DetectorParams, alpha_sq: float) -> np.ndarray:
+    """Coefficients, highest power first, of the continuous-drive cubic
+
+    C(s) = s (s + gt/2)(s + gt) + (wr^2/2)(2 s + gamma_1)
+         = s^3 + (3 gt/2) s^2 + (gt^2/2 + wr^2) s + wr^2 gamma_1 / 2
+
+    with wr^2 = 2 alpha_sq gamma_tl omega_0 / pi. The constant term is also
+    the numerator of pm(s).
+    """
+    gt = params.gamma_tilde
+    wr2 = 2.0 * alpha_sq * params.gamma_tl * params.omega_0 / np.pi
+    return np.array([1.0, 1.5 * gt, 0.5 * gt**2 + wr2, 0.5 * wr2 * params.gamma_1])
 
 
 def pm_laplace(params: DetectorParams, alpha_sq: float, s) -> complex:
@@ -76,26 +86,22 @@ def pm_laplace(params: DetectorParams, alpha_sq: float, s) -> complex:
     pm(s) = (gamma_1 wr^2 / 2) / (s [s(s+gt/2)(s+gt) + (wr^2/2)(2s+gamma_1)])
     """
     _require_lossless(params, "continuous-drive Laplace image")
-    gt = params.gamma_tilde
-    wr2 = _rabi_sq_continuous(params, alpha_sq)
+    coeffs = _cubic(params, alpha_sq)
     s = complex(s)
-    cubic = s * (s + 0.5 * gt) * (s + gt) + 0.5 * wr2 * (2.0 * s + params.gamma_1)
-    return (params.gamma_1 * wr2 / 2.0) / (s * cubic)
+    return coeffs[3] / (s * np.polyval(coeffs, s))
 
 
 def continuous_pm_poles(params: DetectorParams, alpha_sq: float) -> PoleSet:
     """Pole/residue decomposition of pm(s) for the continuous drive.
 
-    The cubic s^3 + (3 gt/2) s^2 + (gt^2/2 + wr^2) s + wr^2 gamma_1 / 2 is
-    solved via the companion matrix (numpy.roots); the printed radical
-    expressions are deliberately not transcribed.
+    The cubic of :func:`_cubic` is solved via the companion matrix
+    (numpy.roots); the printed radical expressions are deliberately not
+    transcribed.
     """
     _require_lossless(params, "pole decomposition")
-    gt = params.gamma_tilde
-    wr2 = _rabi_sq_continuous(params, alpha_sq)
-    if wr2 == 0 or params.gamma_1 == 0:
+    coeffs = _cubic(params, alpha_sq)
+    if coeffs[3] == 0:
         raise ValueError("pole decomposition needs alpha_sq > 0 and gamma_1 > 0")
-    coeffs = np.array([1.0, 1.5 * gt, 0.5 * gt**2 + wr2, 0.5 * wr2 * params.gamma_1])
     roots = np.roots(coeffs)
 
     scale = max(np.max(np.abs(roots)), 1e-300)
@@ -111,9 +117,7 @@ def continuous_pm_poles(params: DetectorParams, alpha_sq: float) -> PoleSet:
 
     # residue at a simple root s_i of the cubic C: (g1 wr^2/2) / (s_i C'(s_i))
     dC = np.polyder(np.poly1d(coeffs))
-    residues = np.array(
-        [(params.gamma_1 * wr2 / 2.0) / (si * dC(si)) for si in roots], dtype=complex
-    )
+    residues = np.array([coeffs[3] / (si * dC(si)) for si in roots], dtype=complex)
     poles = np.concatenate(([0.0 + 0.0j], roots.astype(complex)))
     residues = np.concatenate(([1.0 + 0.0j], residues))
     return PoleSet(poles=poles, residues=residues)
@@ -156,6 +160,20 @@ def _pm_derivatives_at_zero(
     return pm
 
 
+def _exp_pulse_leading(params: DetectorParams, alpha_sq: float, kappa: float, what: str):
+    """Checks shared by the exponential-pulse formulas, then wrt^2, the shape
+    factor (kappa + gt/2)(1 + gamma_tl/gamma_1) and the leading term
+    wrt^2 / (4 kappa shape), with wrt^2 = 2 alpha_sq kappa gamma_tl / pi."""
+    _require_lossless(params, what)
+    if kappa <= 0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if params.gamma_1 == 0:
+        raise ValueError("exponential-pulse formulas need gamma_1 > 0")
+    wrt2 = 2.0 * alpha_sq * kappa * params.gamma_tl / np.pi
+    shape = (kappa + 0.5 * params.gamma_tilde) * (1.0 + params.gamma_tl / params.gamma_1)
+    return wrt2, shape, wrt2 / (4.0 * kappa * shape)
+
+
 def exp_pulse_steady_state(
     params: DetectorParams, alpha_sq: float, kappa: float, order: int = 5
 ) -> float:
@@ -170,19 +188,11 @@ def exp_pulse_steady_state(
     Raises SeriesDiverged when the term magnitudes grow (alpha too large
     relative to kappa).
     """
-    _require_lossless(params, "exponential-pulse series")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    wrt2, shape, leading = _exp_pulse_leading(params, alpha_sq, kappa, "exponential-pulse series")
     if not 1 <= order <= 12:
         raise ValueError(f"order must be in 1..12, got {order}")
-    if params.gamma_1 == 0:
-        raise ZeroDivisionError("gamma_1 = 0")
     if alpha_sq == 0.0:
         return 0.0
-    gt = params.gamma_tilde
-    wrt2 = 2.0 * alpha_sq * kappa * params.gamma_tl / np.pi
-    shape = (kappa + 0.5 * gt) * (1.0 + params.gamma_tl / params.gamma_1)
-    leading = wrt2 / (4.0 * kappa * shape)
     a1 = 0.5 * wrt2 * (1.0 + 4.0 * kappa / params.gamma_1) / shape
 
     derivs = _pm_derivatives_at_zero(params, alpha_sq, kappa, order)
@@ -204,11 +214,5 @@ def exp_pulse_steady_state(
 def exp_pulse_fifth_order(params: DetectorParams, alpha_sq: float, kappa: float) -> float:
     """Closed-form fifth-order approximation:
     leading * (1 - wrt^2 / (16 kappa^2))."""
-    _require_lossless(params, "exponential-pulse closed form")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    gt = params.gamma_tilde
-    wrt2 = 2.0 * alpha_sq * kappa * params.gamma_tl / np.pi
-    shape = (kappa + 0.5 * gt) * (1.0 + params.gamma_tl / params.gamma_1)
-    leading = wrt2 / (4.0 * kappa * shape)
+    wrt2, _, leading = _exp_pulse_leading(params, alpha_sq, kappa, "exponential-pulse closed form")
     return leading * (1.0 - wrt2 / (16.0 * kappa**2))

@@ -9,18 +9,30 @@ Keeping everything O(1)-O(10) in these units avoids artificial stiffness.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: Tolerance for the probability-simplex invariants of MeanFieldState.
+#: Tolerance for the probability-simplex invariants of a trajectory.
 SIMPLEX_EPS = 1e-6
+
+
+def _require_finite(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real number."""
+    try:
+        if math.isfinite(value):
+            return
+    except TypeError:  # None, a string or another non-number
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def omega_from_ghz(freq_ghz: float) -> float:
     """Convert an ordinary frequency in GHz to an angular frequency in rad/ns."""
+    _require_finite("freq", freq_ghz)
     return TWO_PI * float(freq_ghz)
 
 
@@ -52,9 +64,17 @@ class DetectorParams:
     omega_0: float
 
     def __post_init__(self):
+        # checked inline rather than by a _require_finite call per rate:
+        # this runs for every cell of a rate sweep
         for name in ("gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            try:
+                ok = 0.0 <= value < math.inf  # False for NaN
+            except TypeError:  # None, a string or another non-number
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        _require_finite("omega_0", self.omega_0)
         if self.omega_0 <= 0:
             raise ValueError(f"omega_0 must be > 0, got {self.omega_0}")
 
@@ -62,11 +82,6 @@ class DetectorParams:
     def gamma_tilde(self) -> float:
         """Total linewidth: gamma_tl + gamma_0 + gamma_1 + gamma_rel [1/ns]."""
         return self.gamma_tl + self.gamma_0 + self.gamma_1 + self.gamma_rel
-
-
-def gamma_tilde(params: DetectorParams) -> float:
-    """Total linewidth of the counter (sum of the four decay rates)."""
-    return params.gamma_tilde
 
 
 class DriveKind(enum.Enum):
@@ -101,6 +116,11 @@ class DriveSpec:
     table_f: tuple[float, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        _require_finite("alpha_sq", self.alpha_sq)
+        _require_finite("omega_s", self.omega_s)
+        for name in ("kappa", "sigma", "t0"):
+            if getattr(self, name) is not None:
+                _require_finite(name, getattr(self, name))
         if self.alpha_sq < 0:
             raise ValueError(f"alpha_sq must be >= 0, got {self.alpha_sq}")
         if self.omega_s <= 0:
@@ -111,6 +131,8 @@ class DriveSpec:
         elif self.kind is DriveKind.GAUSSIAN:
             if self.sigma is None or self.sigma <= 0:
                 raise ValueError("gaussian drive requires sigma > 0")
+            if self.t0 is None:  # default center: the support starts at t = 0
+                object.__setattr__(self, "t0", 6.0 / (self.sigma * np.sqrt(2.0)))
         elif self.kind is DriveKind.TABULATED:
             if self.table_t is None or self.table_f is None:
                 raise ValueError("tabulated drive requires sample arrays")
@@ -132,8 +154,6 @@ class DriveSpec:
         t0: float | None = None,
         paper_literal: bool = False,
     ) -> "DriveSpec":
-        if t0 is None:
-            t0 = 6.0 / (sigma * np.sqrt(2.0))
         return cls(
             DriveKind.GAUSSIAN, alpha_sq, omega_s,
             sigma=sigma, t0=t0, paper_literal=paper_literal,
@@ -148,40 +168,6 @@ class DriveSpec:
             table_t=tuple(float(t) for t in times),
             table_f=tuple(float(f) for f in values),
         )
-
-    @property
-    def is_pulse(self) -> bool:
-        return self.kind is not DriveKind.CONTINUOUS
-
-
-@dataclass(frozen=True)
-class MeanFieldState:
-    """Reduced real state of the mean-field closure.
-
-    ``v = i(<sigma^-> - <sigma^+>)`` is the single real coherence variable
-    surviving the resonant reduction (the real part of <sigma^-> decouples
-    and stays zero for a ground-state start). ``p0, p1, pm`` are the
-    occupation probabilities of ground, excited, and measurement states.
-    """
-
-    v: float
-    p0: float
-    p1: float
-    pm: float
-
-    @classmethod
-    def ground(cls) -> "MeanFieldState":
-        return cls(0.0, 1.0, 0.0, 0.0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.p0, self.p1, self.pm])
-
-    def check_bounds(self, eps: float = SIMPLEX_EPS) -> None:
-        """Raise if any occupation leaves [-eps, 1+eps]."""
-        for name in ("p0", "p1", "pm"):
-            p = getattr(self, name)
-            if not (-eps <= p <= 1.0 + eps):
-                raise ValueError(f"{name} = {p} outside [{-eps}, {1 + eps}]")
 
 
 def photon_flux(alpha_sq: float, omega_0: float) -> float:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, MeanFieldState
-from .pulses import Envelope, envelope_for
+from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite
+from .pulses import envelope_for
 
 #: Post-pulse integration tail, in units of 1/gamma_1, to capture tunneling
 #: that continues after the envelope has passed.
@@ -43,28 +43,25 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integrator selection and tolerances.
+    """Tolerances and sampling of the adaptive RK45 integration.
 
-    method: "rk45" (adaptive, default) or "rk4" (fixed step; set ``step``).
+    With ``t_end`` None a continuous drive runs to 20/gamma_tilde and a pulse
+    to the end of its envelope's support plus a tunneling tail.
     """
 
-    method: str = "rk45"
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = np.inf
     t_end: float | None = None
     n_samples: int = 400
-    step: float | None = None  # rk4 only
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.t_end is not None and self.t_end <= 0:
-            raise ValueError("t_end must be > 0")
-        if self.method == "rk4" and (self.step is None or self.step <= 0):
-            raise ValueError("rk4 requires a positive fixed step")
+        if self.t_end is not None:
+            _require_finite("t_end", self.t_end)
+            if self.t_end <= 0:
+                raise ValueError("t_end must be > 0")
 
 
 @dataclass(frozen=True)
@@ -106,23 +103,11 @@ def rabi_frequency(params: DetectorParams, drive: DriveSpec) -> float:
     omega_R = sqrt(2 alpha_sq gamma_tl omega_0 / pi).
 
     For pulse drives this returns the prefactor sqrt(2 alpha_sq gamma_tl / pi)
-    that multiplies the envelope f(t); use :func:`rabi_frequency_t` for the
-    instantaneous value.
+    that multiplies the envelope f(t).
     """
     if drive.kind is DriveKind.CONTINUOUS:
         return np.sqrt(2.0 * drive.alpha_sq * params.gamma_tl * drive.omega_s / np.pi)
     return np.sqrt(2.0 * drive.alpha_sq * params.gamma_tl / np.pi)
-
-
-def rabi_frequency_t(
-    params: DetectorParams, drive: DriveSpec, t, envelope: Envelope | None = None
-):
-    """Instantaneous Rabi rate omega_R(t)."""
-    if drive.kind is DriveKind.CONTINUOUS:
-        return rabi_frequency(params, drive) * np.ones_like(np.asarray(t, dtype=float))
-    if envelope is None:
-        envelope = envelope_for(drive)
-    return envelope(t) * rabi_frequency(params, drive)
 
 
 def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
@@ -143,40 +128,26 @@ def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
         )
 
 
-def default_t_end(params: DetectorParams, drive: DriveSpec) -> float:
-    """Envelope support plus a tunneling tail for pulses; 20/gamma_tilde else."""
-    if drive.is_pulse:
-        env = envelope_for(drive)
-        tail = PULSE_TAIL_FACTOR / params.gamma_1 if params.gamma_1 > 0 else 0.0
-        return env.t_end + tail
-    return 20.0 / params.gamma_tilde
-
-
 def integrate(
-    params: DetectorParams,
-    drive: DriveSpec,
-    cfg: IntegratorConfig | None = None,
-    initial_state: MeanFieldState | None = None,
+    params: DetectorParams, drive: DriveSpec, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
-    """Integrate the mean-field system and sample it on a uniform grid.
+    """Integrate the mean-field system from the ground state with adaptive
+    RK45 and sample it on a uniform grid.
 
-    The initial condition is the ground state unless overridden. Occupation
-    bounds and (for the lossless configuration) probability conservation are
-    asserted at every sample; a breach raises InvariantViolation rather than
-    being clipped.
+    Occupation bounds and (for the lossless configuration) probability
+    conservation are asserted at every sample; a breach raises
+    InvariantViolation rather than being clipped.
     """
     _check_preconditions(params, drive)
     if cfg is None:
         cfg = IntegratorConfig()
-    if initial_state is None:
-        initial_state = MeanFieldState.ground()
-    t_end = cfg.t_end if cfg.t_end is not None else default_t_end(params, drive)
 
     gt = params.gamma_tilde
     gtl = params.gamma_tl
     g1 = params.gamma_1
 
     if drive.kind is DriveKind.CONTINUOUS:
+        default_end = 20.0 / gt
         wr_const = rabi_frequency(params, drive)
 
         def omega_r(t):
@@ -184,10 +155,13 @@ def integrate(
 
     else:
         env = envelope_for(drive)
+        default_end = env.t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
         pref = rabi_frequency(params, drive)
 
         def omega_r(t):
             return pref * env(t)
+
+    t_end = cfg.t_end if cfg.t_end is not None else default_end
 
     def rhs(t, y):
         v, p0, p1, pm = y
@@ -200,57 +174,31 @@ def integrate(
         ]
 
     t_eval = np.linspace(0.0, t_end, cfg.n_samples)
-    y0 = initial_state.as_array()
-
-    if cfg.method == "rk45":
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_end),
-            y0,
-            method="RK45",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            max_step=cfg.max_step,
-            t_eval=t_eval,
-        )
-        if not sol.success:
-            t_fail = sol.t[-1] if sol.t.size else 0.0
-            raise IntegrationError(f"adaptive step failed: {sol.message}", t_fail)
-        ys = sol.y
-    else:
-        ys = _rk4_fixed(rhs, y0, t_eval, cfg.step)
+    sol = solve_ivp(
+        rhs,
+        (0.0, t_end),
+        [0.0, 1.0, 0.0, 0.0],  # ground state (v, p0, p1, pm)
+        method="RK45",
+        rtol=cfg.rel_tol,
+        atol=cfg.abs_tol,
+        max_step=cfg.max_step,
+        t_eval=t_eval,
+    )
+    if not sol.success:
+        t_fail = sol.t[-1] if sol.t.size else 0.0
+        raise IntegrationError(f"adaptive step failed: {sol.message}", t_fail)
 
     traj = Trajectory(
         times=t_eval,
-        v=ys[0],
-        p0=ys[1],
-        p1=ys[2],
-        pm=ys[3],
+        v=sol.y[0],
+        p0=sol.y[1],
+        p1=sol.y[2],
+        pm=sol.y[3],
         drive=drive,
         params=params,
     )
     _check_invariants(traj)
     return traj
-
-
-def _rk4_fixed(rhs, y0: np.ndarray, t_eval: np.ndarray, step: float) -> np.ndarray:
-    """Classic RK4 with a fixed step, sampled exactly at t_eval points."""
-    out = np.empty((y0.size, t_eval.size))
-    out[:, 0] = y0
-    y = np.array(y0, dtype=float)
-    t = t_eval[0]
-    for i in range(1, t_eval.size):
-        target = t_eval[i]
-        while t < target - 1e-12:
-            h = min(step, target - t)
-            k1 = np.asarray(rhs(t, y))
-            k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-            k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-            k4 = np.asarray(rhs(t + h, y + h * k3))
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        out[:, i] = y
-    return out
 
 
 def _check_invariants(traj: Trajectory, eps: float = SIMPLEX_EPS) -> None:

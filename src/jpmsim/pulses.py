@@ -69,9 +69,10 @@ def gaussian_envelope(
 ) -> Envelope:
     """Gaussian pulse centered at t0 with raw prefactor (8 pi sigma^2)^(1/4).
 
-    The raw shape integrates |f|^2 to 2*pi, so by default it is renormalized
-    numerically to unit norm (c = 1/sqrt(2 pi) analytically). With
-    ``paper_literal=True`` the raw prefactor is kept for comparison runs.
+    The raw shape integrates |f|^2 to 2*pi, so by default it is scaled to
+    unit norm by c = 1/sqrt(2 pi) exactly; the mass the truncated support
+    drops is far below float rounding. With ``paper_literal=True`` the raw
+    prefactor is kept for comparison runs.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -86,11 +87,7 @@ def gaussian_envelope(
     def raw(t):
         return (8.0 * np.pi * sigma**2) ** 0.25 * np.exp(-(sigma**2) * (t - t0) ** 2)
 
-    if paper_literal:
-        c = 1.0
-    else:
-        mass, _ = quad(lambda t: raw(np.asarray(t)) ** 2, t0 - half_width, t0 + half_width)
-        c = 1.0 / np.sqrt(mass)
+    c = 1.0 if paper_literal else 1.0 / np.sqrt(TWO_PI)
     return Envelope(DriveKind.GAUSSIAN, c, t0 - half_width, t0 + half_width, raw)
 
 
@@ -103,6 +100,8 @@ def tabulated_envelope(times, values) -> Envelope:
     f = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != f.shape or t.size < 2:
         raise ValueError("need matching 1-d arrays with at least 2 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):
+        raise ValueError("samples must be finite numbers")
     if np.any(np.diff(t) <= 0):
         raise ValueError("sample times must be strictly increasing")
 
@@ -120,13 +119,17 @@ def load_tabulated_csv(path) -> Envelope:
     """Read a two-column CSV of (t, f) samples and build a tabulated envelope."""
     times, values = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
             try:
-                times.append(float(row[0]))
+                t = float(row[0])
             except ValueError:
                 continue  # header line
+            if len(row) < 2:
+                raise ValueError(f"{path} line {reader.line_num}: need two columns (t, f)")
+            times.append(t)
             values.append(float(row[1]))
     return tabulated_envelope(times, values)
 

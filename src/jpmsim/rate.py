@@ -30,7 +30,7 @@ def beta_coupling(params: DetectorParams) -> float:
     """Excitation efficiency b = (2/pi) gamma_tl / gamma_tilde (< 1)."""
     gt = params.gamma_tilde
     if gt == 0:
-        raise ZeroDivisionError("gamma_tilde = 0: no decay channels defined")
+        raise ValueError("gamma_tilde = 0: no decay channels defined")
     return (2.0 / np.pi) * params.gamma_tl / gt
 
 
@@ -87,7 +87,7 @@ def closed_form_drive_rate(params: DetectorParams, alpha_sq: float) -> float:
     """
     gt = params.gamma_tilde
     if gt == 0:
-        raise ZeroDivisionError("gamma_tilde = 0")
+        raise ValueError("gamma_tilde = 0")
     omega_flux = alpha_sq * params.omega_0 / TWO_PI
     return 4.0 * params.gamma_tl * omega_flux / gt
 
@@ -108,7 +108,7 @@ def closed_form_p1_pm(params: DetectorParams, alpha_sq: float, t):
         raise ValueError("closed form requires gamma_0 = 0")
     gt = params.gamma_tilde
     if gt == 0:
-        raise ZeroDivisionError("gamma_tilde = 0: decay constants undefined")
+        raise ValueError("gamma_tilde = 0: decay constants undefined")
     t = np.asarray(t, dtype=float)
     w = closed_form_drive_rate(params, alpha_sq)
     b = w + 0.5 * gt
@@ -169,7 +169,7 @@ def efficiency(params: DetectorParams) -> float:
         * (p.gamma_0 + p.gamma_res) ** 2
     )
     if denom == 0:
-        raise ZeroDivisionError("efficiency undefined: zero denominator")
+        raise ValueError("efficiency undefined: zero denominator")
     num = (
         4.0
         * p.gamma_tl
@@ -216,7 +216,7 @@ def eta_max(params: DetectorParams) -> float:
     a = p.gamma_1 + p.gamma_rel
     denom = p.gamma_0 + 2.0 * (a + math.sqrt(a * (p.gamma_0 + a)))
     if denom == 0:
-        raise ZeroDivisionError("eta_max undefined: all rates zero")
+        raise ValueError("eta_max undefined: all rates zero")
     return 4.0 * (p.gamma_0 + p.gamma_1) / denom
 
 
@@ -227,7 +227,7 @@ def _efficiency_fast_reset(params: DetectorParams) -> float:
         p.gamma_tl + p.gamma_1 + p.gamma_0 + p.gamma_rel
     )
     if denom == 0:
-        raise ZeroDivisionError("efficiency undefined: zero denominator")
+        raise ValueError("efficiency undefined: zero denominator")
     return 4.0 * p.gamma_tl * (p.gamma_0 + p.gamma_1) / denom
 
 

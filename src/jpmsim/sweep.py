@@ -142,9 +142,7 @@ def _evaluate_cell(spec: SweepSpec, assignments) -> float:
     for name, value in assignments:
         params, drive, t_m = _apply(params, drive, t_m, name, value)
     if spec.objective == "pm_at_tm":
-        cfg = meanfield.IntegratorConfig(t_end=t_m, n_samples=2)
-        traj = meanfield.integrate(params, drive, cfg)
-        return float(traj.pm[-1])
+        return _pm_at(params, drive, params.gamma_tl, t_m)
     if spec.objective == "steady_pm":
         _, _, pm = rate.steady_state(params, spec.n_in)
         return float(pm)

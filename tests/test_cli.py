@@ -262,6 +262,8 @@ class TestConfig:
 
 
 AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}
+#: Problems that are numerical failures and exit 3; every other case exits 2.
+NUMERICAL = {"keeps growing"}
 
 
 @pytest.mark.parametrize("argv,spec,problem", [
@@ -284,14 +286,24 @@ AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}
     (["sweep", "--format", "json"],
      {"axis1": AXIS, "drive": {"kind": "exp", "kapa": 2.0}, "t_m": 5.0}, "kapa"),
     (["--config"], None, "--config"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "params": {"gamma_1": "1"}, "t_m": 5.0}, "gamma_1"),
+    (["simulate", "--drive", "tab", "--alpha-sq", "0.1", "--pulse-file", "one_column.csv"],
+     None, "line 3"),
+    (["efficiency", "--gamma-tl", "0", "--gamma-1", "0"], None, "all rates zero"),
+    (["match", "--gamma-1", "nan"], None, "gamma_1"),
+    (["analytic", "--mode", "exp-steady", "--alpha-sq", "50", "--kappa", "0.05"],
+     None, "keeps growing"),
 ])
-def test_malformed_input_exits_2(capsys, tmp_path, argv, spec, problem):
+def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one_column.csv").write_text("t,f\n0,0\n1\n2,0\n")
     if spec is not None:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         argv = argv + ["--spec", str(spec_path)]
     code, _, err = run(capsys, *argv)
-    assert code == 2
+    assert code == (3 if problem in NUMERICAL else 2)
     assert problem in err
     assert "Traceback" not in err
 

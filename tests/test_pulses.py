@@ -107,3 +107,5 @@ class TestTabulated:
             pulses.tabulated_envelope([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             pulses.tabulated_envelope([0.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            pulses.tabulated_envelope([0.0, 1.0, 2.0], [0.0, np.nan, 0.0])
