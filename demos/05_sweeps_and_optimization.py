@@ -3,7 +3,7 @@
 How should the line coupling be chosen for a finite measurement window?
 At low photon flux the dynamical optimum reproduces the stationary matching
 condition gamma_tl = gamma_1; as the flux grows, weaker coupling wins and a
-broad plateau appears. The declarative sweep runner and the golden-section
+broad plateau appears. The declarative sweep runner and the bounded Brent
 optimizer make these maps cheap to produce.
 """
 

@@ -5,8 +5,8 @@ Units at this boundary follow lab conventions: rates are given in GHz
 is the ordinary frequency in GHz, multiplied by 2*pi internally. All
 subcommands are deterministic.
 
-Exit codes: 0 success, 2 argument errors, 3 numerical failure (integration or
-diverging series).
+Exit codes: 0 success, 2 argument errors, 3 numerical failure (integration,
+invariant violation, diverging series or degenerate poles).
 """
 
 from __future__ import annotations
@@ -384,7 +384,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (meanfield.IntegrationError, analytic.SeriesDiverged) as exc:
+    except (meanfield.IntegrationError, meanfield.InvariantViolation,
+            analytic.SeriesDiverged, analytic.DegeneratePoles) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -98,7 +98,8 @@ class DriveSpec:
     For the continuous drive ``alpha_sq`` is a (dimensionless) photon flux
     amplitude; the physical flux is ``alpha_sq * omega_s / (2 pi)`` photons/ns.
     For pulse kinds ``alpha_sq`` is the mean photon number carried by the
-    normalized pulse.
+    normalized pulse. A Gaussian with ``t0`` None is centred where its support
+    starts at t = 0, which moves with ``sigma``; passing ``t0`` pins it.
 
     Only resonant drive (omega_s == detector omega_0) is supported.
     """
@@ -131,8 +132,6 @@ class DriveSpec:
         elif self.kind is DriveKind.GAUSSIAN:
             if self.sigma is None or self.sigma <= 0:
                 raise ValueError("gaussian drive requires sigma > 0")
-            if self.t0 is None:  # default center: the support starts at t = 0
-                object.__setattr__(self, "t0", 6.0 / (self.sigma * np.sqrt(2.0)))
         elif self.kind is DriveKind.TABULATED:
             if self.table_t is None or self.table_f is None:
                 raise ValueError("tabulated drive requires sample arrays")

@@ -69,6 +69,8 @@ def gaussian_envelope(
 ) -> Envelope:
     """Gaussian pulse centered at t0 with raw prefactor (8 pi sigma^2)^(1/4).
 
+    With ``t0`` None the centre is placed where the support starts at t = 0.
+
     The raw shape integrates |f|^2 to 2*pi, so by default it is scaled to
     unit norm by c = 1/sqrt(2 pi) exactly; the mass the truncated support
     drops is far below float rounding. With ``paper_literal=True`` the raw

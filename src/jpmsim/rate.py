@@ -50,26 +50,19 @@ def rate_rhs(params: DetectorParams, n_in: float, p) -> np.ndarray:
     return np.array([dp0, dp1, dpm])
 
 
-def integrate_rate(
-    params: DetectorParams,
-    n_in: float,
-    t_end: float,
-    n_samples: int = 400,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-):
+def integrate_rate(params: DetectorParams, n_in: float, t_end: float):
     """Numerically integrate the rate equations from (1, 0, 0).
 
-    Returns (times, p) with p of shape (3, n_samples).
+    Returns (times, p) with p of shape (3, 400), sampled uniformly on [0, t_end].
     """
-    t_eval = np.linspace(0.0, t_end, n_samples)
+    t_eval = np.linspace(0.0, t_end, 400)
     sol = solve_ivp(
         lambda t, p: rate_rhs(params, n_in, p),
         (0.0, t_end),
         [1.0, 0.0, 0.0],
         method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
+        rtol=1e-10,
+        atol=1e-12,
         t_eval=t_eval,
     )
     if not sol.success:
@@ -98,9 +91,11 @@ def closed_form_p1_pm(params: DetectorParams, alpha_sq: float, t):
     Requires gamma_res = 0 and gamma_0 = 0 and the initial state (1, 0, 0):
 
         p1(t) = (w/G) e^(-b t) sinh(G t)
-        pm(t) = gamma_1 (w/G) [G - e^(-b t)(G cosh(G t) + b sinh(G t))] / (b^2 - G^2)
+        pm(t) = [G - e^(-b t)(G cosh(G t) + b sinh(G t))] / G
 
     with w the pumping rate, b = w + gamma_tilde/2, G = sqrt(b^2 - w gamma_1).
+    The pm prefactor gamma_1 (w/G) / (b^2 - G^2) is 1/G because
+    b^2 - G^2 = w gamma_1; written so, gamma_1 = 0 gives pm = 0, not 0/0.
     """
     if params.gamma_res != 0.0:
         raise ValueError("closed form requires gamma_res = 0; use steady_state otherwise")
@@ -122,12 +117,7 @@ def closed_form_p1_pm(params: DetectorParams, alpha_sq: float, t):
     e_minus = np.exp((g - b) * t)
     e_plus = np.exp(-(g + b) * t)
     p1 = 0.5 * k * (e_minus - e_plus)
-    pm = (
-        params.gamma_1
-        * k
-        / (b * b - g * g)
-        * (g - 0.5 * (g + b) * e_minus - 0.5 * (g - b) * e_plus)
-    )
+    pm = (g - 0.5 * (g + b) * e_minus - 0.5 * (g - b) * e_plus) / g
     return p1, pm
 
 

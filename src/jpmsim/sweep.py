@@ -15,25 +15,26 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import meanfield, rate
-from .core import DetectorParams, DriveKind, DriveSpec
+from .core import DetectorParams, DriveSpec, _require_finite
 
-PARAM_NAMES = frozenset(
-    {
-        "gamma_tl",
-        "gamma_1",
-        "gamma_0",
-        "gamma_rel",
-        "gamma_res",
-        "alpha_sq",
-        "kappa",
-        "sigma",
-        "t_m",
-    }
-)
+#: Each sweepable name and the object a cell sets it on: the detector
+#: parameters, the drive or the measurement time.
+PARAM_TARGETS = {
+    **dict.fromkeys(("gamma_tl", "gamma_1", "gamma_0", "gamma_rel", "gamma_res"), "params"),
+    **dict.fromkeys(("alpha_sq", "kappa", "sigma"), "drive"),
+    "t_m": "t_m",
+}
+PARAM_NAMES = frozenset(PARAM_TARGETS)
 
 OBJECTIVES = frozenset({"pm_at_tm", "eta", "eta_finite_n", "steady_pm"})
+
+#: optimize_gamma_tl: points of the coarse log grid that brackets the maximum,
+#: and the relative tolerance on gamma_tl of the refinement.
+COARSE_POINTS = 25
+GAMMA_TL_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,8 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {self.name!r}; allowed: {sorted(PARAM_NAMES)}")
+        _require_finite("min", self.min)
+        _require_finite("max", self.max)
         if self.points < 1:
             raise ValueError("points must be >= 1")
         if self.points >= 2 and not self.min < self.max:
@@ -83,6 +86,16 @@ class SweepSpec:
             raise ValueError("pm_at_tm needs t_m")
         if self.objective in ("eta_finite_n", "steady_pm") and self.n_in is None:
             raise ValueError(f"{self.objective} needs n_in")
+        if self.t_m is not None:
+            _require_finite("t_m", self.t_m)
+            if self.t_m <= 0:
+                raise ValueError(f"t_m must be > 0, got {self.t_m}")
+        if self.n_in is not None:
+            _require_finite("n_in", self.n_in)
+            if self.n_in < 0:
+                raise ValueError(f"n_in must be >= 0, got {self.n_in}")
+            if self.objective == "eta_finite_n" and self.n_in == 0:
+                raise ValueError("eta_finite_n needs n_in > 0")
 
 
 @dataclass(frozen=True)
@@ -124,25 +137,13 @@ class SweepResult:
         return json.dumps(data, indent=indent)
 
 
-def _apply(params, drive, t_m, name: str, value: float):
-    """Replace one swept parameter in (params, drive, t_m)."""
-    if name in ("gamma_tl", "gamma_1", "gamma_0", "gamma_rel", "gamma_res"):
-        params = replace(params, **{name: value})
-    elif name == "alpha_sq":
-        drive = replace(drive, alpha_sq=value)
-    elif name in ("kappa", "sigma"):
-        drive = replace(drive, **{name: value})
-    elif name == "t_m":
-        t_m = value
-    return params, drive, t_m
-
-
-def _evaluate_cell(spec: SweepSpec, assignments) -> float:
-    params, drive, t_m = spec.params, spec.drive, spec.t_m
-    for name, value in assignments:
-        params, drive, t_m = _apply(params, drive, t_m, name, value)
+def _evaluate_cell(spec: SweepSpec, cell: dict) -> float:
+    """The objective with the swept values of one cell, ``cell`` mapping each
+    target of PARAM_TARGETS to the fields swept on it."""
+    params = replace(spec.params, **cell["params"]) if cell["params"] else spec.params
+    drive = replace(spec.drive, **cell["drive"]) if cell["drive"] else spec.drive
     if spec.objective == "pm_at_tm":
-        return _pm_at(params, drive, params.gamma_tl, t_m)
+        return _pm_at(params, drive, cell["t_m"].get("t_m", spec.t_m))
     if spec.objective == "steady_pm":
         _, _, pm = rate.steady_state(params, spec.n_in)
         return float(pm)
@@ -164,9 +165,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     values = np.full([g.size for g in grids], np.nan)
     errors = []
     for idx in np.ndindex(values.shape):
-        assignments = [(ax.name, g[i]) for ax, g, i in zip(axes, grids, idx)]
+        cell = {"params": {}, "drive": {}, "t_m": {}}
+        for ax, g, i in zip(axes, grids, idx):
+            cell[PARAM_TARGETS[ax.name]][ax.name] = g[i]
         try:
-            values[idx] = _evaluate_cell(spec, assignments)
+            values[idx] = _evaluate_cell(spec, cell)
         except Exception:  # per-cell isolation
             errors.append(idx)
 
@@ -186,10 +189,9 @@ class OptimizeResult:
     at_boundary: bool
 
 
-def _pm_at(params: DetectorParams, drive: DriveSpec, gamma_tl: float, t_m: float) -> float:
-    p = replace(params, gamma_tl=gamma_tl)
+def _pm_at(params: DetectorParams, drive: DriveSpec, t_m: float) -> float:
     cfg = meanfield.IntegratorConfig(t_end=t_m, n_samples=2)
-    return float(meanfield.integrate(p, drive, cfg).pm[-1])
+    return float(meanfield.integrate(params, drive, cfg).pm[-1])
 
 
 def optimize_gamma_tl(
@@ -197,43 +199,26 @@ def optimize_gamma_tl(
     params: DetectorParams,
     t_m: float,
     bracket: tuple[float, float] = (1e-2, 1e2),
-    rel_tol: float = 1e-3,
-    coarse_points: int = 25,
 ) -> OptimizeResult:
-    """Maximize pm(t_m) over gamma_tl by golden-section search on log scale.
+    """Maximize pm(t_m) over gamma_tl by bounded Brent search on log scale.
 
     A coarse log grid first brackets the maximum; if the best coarse point
     sits on the range boundary the boundary value is returned with
     ``at_boundary=True`` instead of pretending convergence.
     """
-    lo, hi = math.log10(bracket[0]), math.log10(bracket[1])
-    coarse = np.linspace(lo, hi, coarse_points)
-    vals = [_pm_at(params, drive, 10.0**x, t_m) for x in coarse]
+    coarse = np.linspace(math.log10(bracket[0]), math.log10(bracket[1]), COARSE_POINTS)
+    vals = [_pm_at(replace(params, gamma_tl=10.0**x), drive, t_m) for x in coarse]
     k = int(np.argmax(vals))
-    if k == 0 or k == coarse_points - 1:
-        g = 10.0 ** coarse[k]
-        return OptimizeResult(gamma_tl=g, pm=vals[k], at_boundary=True)
+    if k == 0 or k == COARSE_POINTS - 1:
+        return OptimizeResult(gamma_tl=10.0 ** coarse[k], pm=vals[k], at_boundary=True)
 
-    a, b = coarse[k - 1], coarse[k + 1]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = _pm_at(params, drive, 10.0**c, t_m)
-    fd = _pm_at(params, drive, 10.0**d, t_m)
-    # tolerance on gamma_tl itself: |log10 interval| < log10(1 + rel_tol)
-    tol = math.log10(1.0 + rel_tol)
-    while d - c > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _pm_at(params, drive, 10.0**d, t_m)
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _pm_at(params, drive, 10.0**c, t_m)
-    x = 0.5 * (a + b)
-    g = 10.0**x
-    return OptimizeResult(gamma_tl=g, pm=_pm_at(params, drive, g, t_m), at_boundary=False)
+    res = minimize_scalar(
+        lambda x: -_pm_at(replace(params, gamma_tl=10.0**x), drive, t_m),
+        bounds=(coarse[k - 1], coarse[k + 1]),
+        method="bounded",
+        options={"xatol": math.log10(1.0 + GAMMA_TL_REL_TOL)},
+    )
+    return OptimizeResult(gamma_tl=10.0**res.x, pm=-res.fun, at_boundary=False)
 
 
 def grid_argmax_gamma_tl(
@@ -245,7 +230,7 @@ def grid_argmax_gamma_tl(
 ) -> float:
     """Brute-force log-grid maximizer; independent oracle for the optimizer."""
     grid = np.geomspace(bracket[0], bracket[1], points)
-    vals = [_pm_at(params, drive, g, t_m) for g in grid]
+    vals = [_pm_at(replace(params, gamma_tl=g), drive, t_m) for g in grid]
     return float(grid[int(np.argmax(vals))])
 
 
@@ -254,22 +239,10 @@ def saturation_curve(
     drive: DriveSpec,
     t_m: float,
     alpha_grid,
-    matched: bool = False,
 ) -> np.ndarray:
-    """pm(t_m) versus drive amplitude.
-
-    With ``matched=True`` the coupling rate is re-optimized at every
-    amplitude; otherwise the baseline gamma_tl is held fixed.
-    """
+    """pm(t_m) versus drive amplitude at the baseline gamma_tl."""
     out = np.empty(len(alpha_grid))
     for i, a2 in enumerate(alpha_grid):
         d = replace(drive, alpha_sq=float(a2))
-        if a2 == 0.0:
-            out[i] = 0.0
-            continue
-        if matched:
-            res = optimize_gamma_tl(d, params, t_m)
-            out[i] = res.pm
-        else:
-            out[i] = _pm_at(params, d, params.gamma_tl, t_m)
+        out[i] = 0.0 if a2 == 0.0 else _pm_at(params, d, t_m)
     return out

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ class TestConfig:
 
 AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}
 #: Problems that are numerical failures and exit 3; every other case exits 2.
-NUMERICAL = {"keeps growing"}
+NUMERICAL = {"keeps growing", "collides"}
 
 
 @pytest.mark.parametrize("argv,spec,problem", [
@@ -294,6 +295,15 @@ NUMERICAL = {"keeps growing"}
     (["match", "--gamma-1", "nan"], None, "gamma_1"),
     (["analytic", "--mode", "exp-steady", "--alpha-sq", "50", "--kappa", "0.05"],
      None, "keeps growing"),
+    (["sweep", "--format", "json"], {"axis1": AXIS, "t_m": math.nan}, "t_m"),
+    (["sweep", "--format", "json"], {"axis1": AXIS, "t_m": "5"}, "t_m"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "objective": "steady_pm", "n_in": -1, "params": {"gamma_res": 1.0}},
+     "n_in"),
+    (["sweep", "--format", "json"],
+     {"axis1": {**AXIS, "max": math.inf}, "t_m": 5.0}, "max"),
+    (["analytic", "--mode", "poles", "--alpha-sq", "1e-13", "--gamma-1", "1e-12"],
+     None, "collides"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
     monkeypatch.chdir(tmp_path)

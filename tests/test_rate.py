@@ -64,6 +64,15 @@ class TestClosedForm:
         assert np.max(np.abs(p1 - occ[1])) < 1e-8
         assert np.max(np.abs(pm - occ[2])) < 1e-8
 
+    def test_no_measurement_rate(self):
+        # gamma_1 = 0: nothing is ever measured, and p1 still follows the ODE
+        p = make_params(gamma_tl=0.6, gamma_1=0.0)
+        a2 = 0.1
+        t, occ = rate.integrate_rate(p, a2 * p.omega_0, 50.0 / p.gamma_tilde)
+        p1, pm = rate.closed_form_p1_pm(p, a2, t)
+        assert np.all(pm == 0.0)
+        assert np.max(np.abs(p1 - occ[1])) < 1e-8
+
     def test_all_population_eventually_measured(self):
         # without dark counts or reset every excitation ends in the
         # measured state

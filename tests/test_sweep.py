@@ -50,6 +50,16 @@ class TestSpecValidation:
                 drive=DriveSpec.continuous(0.1, OMEGA),
             )
 
+    @pytest.mark.parametrize("objective,field", [("pm_at_tm", "t_m"), ("eta_finite_n", "n_in")])
+    def test_zero_t_m_or_n_in(self, objective, field):
+        with pytest.raises(ValueError, match=field):
+            sweep.SweepSpec(
+                axis1=sweep.SweepAxis("gamma_tl", 0.1, 10, 3),
+                params=make_params(),
+                drive=DriveSpec.continuous(0.1, OMEGA),
+                objective=objective, **{field: 0.0},
+            )
+
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
             sweep.SweepSpec(
@@ -124,6 +134,21 @@ class TestRunSweep:
         res = sweep.run_sweep(spec)
         assert np.all(np.isnan(res.values))
         assert len(res.errors) == 3
+
+    def test_swept_sigma_moves_default_centre(self):
+        # a Gaussian without t0 is centred by its own sigma in every cell,
+        # exactly as a standalone drive of that width
+        spec = sweep.SweepSpec(
+            axis1=sweep.SweepAxis("sigma", 0.5, 2.0, 4),
+            params=make_params(),
+            drive=DriveSpec.gaussian(1.0, OMEGA, sigma=1.0), t_m=20.0,
+        )
+        res = sweep.run_sweep(spec)
+        assert res.errors == ()
+        cfg = meanfield.IntegratorConfig(t_end=20.0, n_samples=2)
+        for sigma, value in zip(res.axis1_values, res.values):
+            d = DriveSpec.gaussian(1.0, OMEGA, sigma)
+            assert value == meanfield.integrate(make_params(), d, cfg).pm[-1]
 
     def test_parallel_matches_serial(self, capsys, tmp_path):
         # `jpmsim sweep --workers N` is accepted and ignored: same bytes out
