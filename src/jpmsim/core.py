@@ -30,6 +30,13 @@ def _require_finite(name: str, value) -> None:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (not a
+    bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def omega_from_ghz(freq_ghz: float) -> float:
     """Convert an ordinary frequency in GHz to an angular frequency in rad/ns."""
     _require_finite("freq", freq_ghz)

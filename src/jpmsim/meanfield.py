@@ -9,8 +9,11 @@ The resonant mean-field closure reduces to a real 4-vector
     dpm/dt =  gamma_1 p1
 
 where omega_R is constant for a continuous drive and carries the pulse
-envelope f(t) otherwise. This module assumes a single measurement event
-and no dark counts: gamma_res and gamma_0 must be zero.
+envelope f(t) otherwise. A continuous drive makes the system linear and
+time-invariant, dy/dt = A y, and it is propagated exactly with the matrix
+exponential expm(A dt); a pulse drive is integrated with adaptive RK45. This
+module assumes a single measurement event and no dark counts: gamma_res and
+gamma_0 must be zero.
 """
 
 from __future__ import annotations
@@ -20,15 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite
+from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int
 from .pulses import envelope_for
 
 #: Post-pulse integration tail, in units of 1/gamma_1, to capture tunneling
 #: that continues after the envelope has passed.
 PULSE_TAIL_FACTOR = 10.0
 
-#: Relative and absolute tolerances of the adaptive RK45 step.
+#: Relative and absolute tolerances of the adaptive RK45 step (pulse drives).
 REL_TOL = 1e-8
 ABS_TOL = 1e-10
 
@@ -47,10 +51,12 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """End time and sampling of the adaptive RK45 integration.
+    """End time and number of uniform samples of a trajectory.
 
-    With ``t_end`` None a continuous drive runs to 20/gamma_tilde and a pulse
-    to the end of its envelope's support plus a tunneling tail.
+    A continuous drive is propagated exactly from sample to sample with
+    expm, a pulse is integrated with adaptive RK45 and sampled. With
+    ``t_end`` None a continuous drive runs to 20/gamma_tilde and a pulse to
+    the end of its envelope's support plus a tunneling tail.
     """
 
     t_end: float | None = None
@@ -61,6 +67,7 @@ class IntegratorConfig:
             _require_finite("t_end", self.t_end)
             if self.t_end <= 0:
                 raise ValueError("t_end must be > 0")
+        _require_int("n_samples", self.n_samples, 2)
 
 
 @dataclass(frozen=True)
@@ -130,12 +137,17 @@ def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
 def integrate(
     params: DetectorParams, drive: DriveSpec, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
-    """Integrate the mean-field system from the ground state with adaptive
-    RK45 and sample it on a uniform grid.
+    """Integrate the mean-field system from the ground state and sample it on
+    a uniform grid.
 
-    Occupation bounds and (for the lossless configuration) probability
-    conservation are asserted at every sample; a breach raises
-    InvariantViolation rather than being clipped.
+    A continuous drive is propagated exactly: with the constant generator A,
+    y(t + dt) = expm(A dt) y(t) (scipy's scaling-and-squaring expm). A pulse
+    drive is integrated with adaptive RK45.
+
+    A non-finite sample raises IntegrationError. Occupation bounds and (for
+    the lossless configuration) probability conservation are asserted at
+    every sample; a breach raises InvariantViolation rather than being
+    clipped.
     """
     _check_preconditions(params, drive)
     if cfg is None:
@@ -147,51 +159,67 @@ def integrate(
 
     if drive.kind is DriveKind.CONTINUOUS:
         default_end = 20.0 / gt
-        wr_const = rabi_frequency(params, drive)
-
-        def omega_r(t):
-            return wr_const
-
     else:
         env = envelope_for(drive)
         default_end = env.t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
-        pref = rabi_frequency(params, drive)
-
-        def omega_r(t):
-            return pref * env(t)
 
     t_end = cfg.t_end if cfg.t_end is not None else default_end
-
-    def rhs(t, y):
-        v, p0, p1, pm = y
-        wr = omega_r(t)
-        return [
-            -0.5 * gt * v + wr * (p0 - p1),
-            gtl * p1 - 0.5 * wr * v,
-            -gt * p1 + 0.5 * wr * v,
-            g1 * p1,
-        ]
-
     t_eval = np.linspace(0.0, t_end, cfg.n_samples)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [0.0, 1.0, 0.0, 0.0],  # ground state (v, p0, p1, pm)
-        method="RK45",
-        rtol=REL_TOL,
-        atol=ABS_TOL,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        t_fail = sol.t[-1] if sol.t.size else 0.0
-        raise IntegrationError(f"adaptive step failed: {sol.message}", t_fail)
+    ground = [0.0, 1.0, 0.0, 0.0]  # (v, p0, p1, pm)
+
+    if drive.kind is DriveKind.CONTINUOUS:
+        wr = rabi_frequency(params, drive)
+        gen = np.array(
+            [
+                [-0.5 * gt, wr, -wr, 0.0],
+                [-0.5 * wr, 0.0, gtl, 0.0],
+                [0.5 * wr, 0.0, -gt, 0.0],
+                [0.0, 0.0, g1, 0.0],
+            ]
+        )
+        y = np.empty((4, cfg.n_samples))
+        y[:, 0] = ground
+        # overflow shows up as a non-finite sample, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = expm(gen * (t_end / (cfg.n_samples - 1)))
+            for k in range(1, cfg.n_samples):
+                y[:, k] = step @ y[:, k - 1]
+        bad = ~np.isfinite(y).all(axis=0)
+        if bad.any():
+            raise IntegrationError("propagator is not finite", t_eval[np.argmax(bad)])
+    else:
+        pref = rabi_frequency(params, drive)
+
+        def rhs(t, y):
+            v, p0, p1, pm = y
+            wr = pref * env(t)
+            return [
+                -0.5 * gt * v + wr * (p0 - p1),
+                gtl * p1 - 0.5 * wr * v,
+                -gt * p1 + 0.5 * wr * v,
+                g1 * p1,
+            ]
+
+        sol = solve_ivp(
+            rhs,
+            (0.0, t_end),
+            ground,
+            method="RK45",
+            rtol=REL_TOL,
+            atol=ABS_TOL,
+            t_eval=t_eval,
+        )
+        if not sol.success:
+            t_fail = sol.t[-1] if sol.t.size else 0.0
+            raise IntegrationError(f"adaptive step failed: {sol.message}", t_fail)
+        y = sol.y
 
     traj = Trajectory(
         times=t_eval,
-        v=sol.y[0],
-        p0=sol.y[1],
-        p1=sol.y[2],
-        pm=sol.y[3],
+        v=y[0],
+        p0=y[1],
+        p1=y[2],
+        pm=y[3],
         drive=drive,
         params=params,
     )
@@ -201,8 +229,9 @@ def integrate(
 
 def _check_invariants(traj: Trajectory, eps: float = SIMPLEX_EPS) -> None:
     for arr, name in ((traj.p0, "p0"), (traj.p1, "p1"), (traj.pm, "pm")):
-        if np.any(arr < -eps) or np.any(arr > 1.0 + eps):
-            i = int(np.argmax((arr < -eps) | (arr > 1.0 + eps)))
+        outside = ~((arr >= -eps) & (arr <= 1.0 + eps))  # NaN is outside too
+        if outside.any():
+            i = int(np.argmax(outside))
             raise InvariantViolation(
                 f"{name} = {arr[i]} outside [-{eps}, 1+{eps}] at t = {traj.times[i]}"
             )

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import meanfield, rate
-from .core import DetectorParams, DriveSpec, _require_finite
+from .core import DetectorParams, DriveSpec, _require_finite, _require_int
 
 #: Each sweepable name and the object a cell sets it on: the detector
 #: parameters, the drive or the measurement time.
@@ -50,8 +50,7 @@ class SweepAxis:
             raise ValueError(f"unknown parameter {self.name!r}; allowed: {sorted(PARAM_NAMES)}")
         _require_finite("min", self.min)
         _require_finite("max", self.max)
-        if self.points < 1:
-            raise ValueError("points must be >= 1")
+        _require_int("points", self.points, 1)
         if self.points >= 2 and not self.min < self.max:
             raise ValueError("need min < max")
         if self.scale not in ("linear", "log"):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jpmsim
 from jpmsim import analytic, meanfield
 from jpmsim.cli import main
 from jpmsim.core import DetectorParams, omega_from_ghz
@@ -304,6 +309,14 @@ NUMERICAL = {"keeps growing", "collides"}
      {"axis1": {**AXIS, "max": math.inf}, "t_m": 5.0}, "max"),
     (["analytic", "--mode", "poles", "--alpha-sq", "1e-13", "--gamma-1", "1e-12"],
      None, "collides"),
+    (["simulate", "--drive", "continuous", "--alpha-sq", "0.1", "--samples", "0"],
+     None, "n_samples"),
+    (["simulate", "--drive", "continuous", "--alpha-sq", "0.1", "--samples", "1"],
+     None, "n_samples"),
+    (["compare", "--alpha-sq", "0.1", "--samples", "0"], None, "n_samples"),
+    (["sweep", "--format", "json"], {"axis1": {**AXIS, "points": 2.5}, "t_m": 5.0}, "points"),
+    (["sweep", "--format", "json"], {"axis1": {**AXIS, "points": "8"}, "t_m": 5.0}, "points"),
+    (["sweep", "--format", "json"], {"axis1": {**AXIS, "points": True}, "t_m": 5.0}, "points"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
     monkeypatch.chdir(tmp_path)
@@ -316,6 +329,21 @@ def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, prob
     assert code == (3 if problem in NUMERICAL else 2)
     assert problem in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gamma_tl,code,message", [
+    ("1e8", 0, ""),
+    ("1e150", 3, "propagator is not finite"),
+])
+def test_stiff_continuous_drive_finishes(gamma_tl, code, message):
+    # in a separate process, so that a hang fails the test instead of the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(jpmsim.__file__).parents[1])}
+    argv = [sys.executable, "-m", "jpmsim.cli", "simulate", "--drive", "continuous",
+            "--alpha-sq", "0.1", "--gamma-tl", gamma_tl, "--t-end", "10"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == code
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("flags,block", [

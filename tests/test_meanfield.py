@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from jpmsim import analytic, meanfield, pulses
 from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
@@ -114,7 +116,90 @@ class TestLaplaceCrossOracle:
         )
         ps = analytic.continuous_pm_poles(p, a2)
         recon = ps.reconstruct(traj.times)
-        assert np.max(np.abs(recon - traj.pm)) < 1e-4
+        assert np.max(np.abs(recon - traj.pm)) < 1e-10
+
+
+def dop853_reference(p, a2, times):
+    """(v, p0, p1, pm) at ``times`` from DOP853 at rtol 1e-13, with the
+    equations of motion written out component by component."""
+    wr = np.sqrt(2.0 * a2 * p.gamma_tl * OMEGA / np.pi)
+    gt = p.gamma_tl + p.gamma_1 + p.gamma_rel
+
+    def rhs(t, y):
+        v, p0, p1, _ = y
+        return [-0.5 * gt * v + wr * (p0 - p1), p.gamma_tl * p1 - 0.5 * wr * v,
+                -gt * p1 + 0.5 * wr * v, p.gamma_1 * p1]
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), [0.0, 1.0, 0.0, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-15, t_eval=times)
+    assert sol.success
+    return sol.y
+
+
+def components(traj):
+    return np.array([traj.v, traj.p0, traj.p1, traj.pm])
+
+
+class TestExactContinuousPropagator:
+    def test_lossless_matches_pole_oracle(self):
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(200):
+            gtl, g1 = 10.0 ** rng.uniform(-1, 1, size=2)
+            a2 = 10.0 ** rng.uniform(-3, 0)
+            p = make_params(gamma_tl=gtl, gamma_1=g1)
+            cfg = meanfield.IntegratorConfig(t_end=rng.uniform(1, 60), n_samples=50)
+            traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), cfg)
+            recon = analytic.continuous_pm_poles(p, a2).reconstruct(traj.times)
+            worst = max(worst, np.max(np.abs(recon - traj.pm)))
+        assert worst < 1e-11
+
+    def test_relaxation_matches_dop853(self):
+        # gamma_rel > 0: the pole oracle does not apply
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            gtl, g1 = 10.0 ** rng.uniform(-1, 1, size=2)
+            a2 = 10.0 ** rng.uniform(-3, 0)
+            p = make_params(gamma_tl=gtl, gamma_1=g1, gamma_rel=rng.uniform(0.01, 1.0))
+            cfg = meanfield.IntegratorConfig(n_samples=50)
+            traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), cfg)
+            ref = dop853_reference(p, a2, traj.times)
+            assert np.max(np.abs(components(traj) - ref)) < 1e-10
+
+    def test_double_root_matches_dop853(self):
+        # gamma_tl = gamma_1 = 1: the cubic s^3 + 3 s^2 + (2 + w) s + w/2,
+        # w = wr^2, has a double root where its discriminant vanishes
+        def discriminant(w):
+            b, c, d = 3.0, 2.0 + w, 0.5 * w
+            return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+
+        w = brentq(discriminant, 0.3, 0.45, xtol=1e-15)
+        assert w == pytest.approx(0.37781, abs=1e-5)
+        p = make_params()
+        a2 = w * np.pi / (2.0 * p.gamma_tl * OMEGA)
+        traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA))
+        ref = dop853_reference(p, a2, traj.times)
+        assert np.max(np.abs(components(traj) - ref)) < 1e-10
+
+
+class TestConfigAndInvariants:
+    @pytest.mark.parametrize("n", [0, 1, -3, 2.5, 4.0, True, "8", None])
+    def test_bad_n_samples_rejected(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            meanfield.IntegratorConfig(n_samples=n)
+
+    def test_numpy_integer_n_samples_accepted(self):
+        assert meanfield.IntegratorConfig(n_samples=np.int64(2)).n_samples == 2
+
+    @pytest.mark.parametrize("field", ["p0", "p1", "pm"])
+    def test_nan_sample_is_a_violation(self, field):
+        p = make_params()
+        d = DriveSpec.continuous(0.05, OMEGA)
+        cols = {"v": np.zeros(3), "p0": np.ones(3), "p1": np.zeros(3), "pm": np.zeros(3)}
+        cols[field][1] = np.nan
+        traj = meanfield.Trajectory(times=np.arange(3.0), drive=d, params=p, **cols)
+        with pytest.raises(meanfield.InvariantViolation, match=field):
+            meanfield._check_invariants(traj)
 
 
 class TestReflection:
