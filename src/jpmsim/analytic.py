@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .core import DetectorParams
+from .core import DetectorParams, _require_finite
 
 #: Relative pole separation below which the first-order residue formula breaks.
 DEGENERACY_TOL = 1e-9
@@ -66,6 +66,12 @@ def _require_lossless(params: DetectorParams, what: str) -> None:
         )
 
 
+def _require_alpha_sq(alpha_sq) -> None:
+    _require_finite("alpha_sq", alpha_sq)
+    if alpha_sq < 0:
+        raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
+
+
 def _cubic(params: DetectorParams, alpha_sq: float) -> np.ndarray:
     """Coefficients, highest power first, of the continuous-drive cubic
 
@@ -75,6 +81,7 @@ def _cubic(params: DetectorParams, alpha_sq: float) -> np.ndarray:
     with wr^2 = 2 alpha_sq gamma_tl omega_0 / pi. The constant term is also
     the numerator of pm(s).
     """
+    _require_alpha_sq(alpha_sq)
     gt = params.gamma_tilde
     wr2 = 2.0 * alpha_sq * params.gamma_tl * params.omega_0 / np.pi
     return np.array([1.0, 1.5 * gt, 0.5 * gt**2 + wr2, 0.5 * wr2 * params.gamma_1])
@@ -165,6 +172,8 @@ def _exp_pulse_leading(params: DetectorParams, alpha_sq: float, kappa: float, wh
     factor (kappa + gt/2)(1 + gamma_tl/gamma_1) and the leading term
     wrt^2 / (4 kappa shape), with wrt^2 = 2 alpha_sq kappa gamma_tl / pi."""
     _require_lossless(params, what)
+    _require_alpha_sq(alpha_sq)
+    _require_finite("kappa", kappa)
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     if params.gamma_1 == 0:

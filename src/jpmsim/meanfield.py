@@ -1,17 +1,18 @@
 """Time integration of the mean-field equations of motion.
 
 The resonant mean-field closure reduces to a real 4-vector
-(v, p0, p1, pm) with
+y = (v, p0, p1, pm) with
 
     dv/dt  = -(gamma_tilde/2) v + omega_R(t) (p0 - p1)
-    dp0/dt =  gamma_tl p1 - omega_R(t) v / 2
+    dp0/dt =  (gamma_tl + gamma_rel) p1 - omega_R(t) v / 2
     dp1/dt = -gamma_tilde p1 + omega_R(t) v / 2
     dpm/dt =  gamma_1 p1
 
-where omega_R is constant for a continuous drive and carries the pulse
-envelope f(t) otherwise. A continuous drive makes the system linear and
-time-invariant, dy/dt = A y, and it is propagated exactly with the matrix
-exponential expm(A dt); a pulse drive is integrated with adaptive RK45. This
+that is dy/dt = (A0 + omega_R(t) B) y with the matrices of :func:`generator`.
+omega_R is constant for a continuous drive and carries the pulse envelope
+f(t) otherwise. A continuous drive makes the system linear and
+time-invariant, and it is propagated exactly with the matrix exponential
+(:func:`propagate`); a pulse drive is integrated with adaptive RK45. This
 module assumes a single measurement event and no dark counts: gamma_res and
 gamma_0 must be zero.
 """
@@ -91,17 +92,9 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "v", "p0", "p1", "pm", "R"])
-            for i in range(len(self.times)):
-                w.writerow(
-                    [
-                        f"{self.times[i]:.9g}",
-                        f"{self.v[i]:.12g}",
-                        f"{self.p0[i]:.12g}",
-                        f"{self.p1[i]:.12g}",
-                        f"{self.pm[i]:.12g}",
-                        f"{refl[i]:.12g}",
-                    ]
-                )
+            cols = (self.v, self.p0, self.p1, self.pm, refl)
+            for i, t in enumerate(self.times):
+                w.writerow([f"{t:.9g}"] + [f"{c[i]:.12g}" for c in cols])
 
 
 def rabi_frequency(params: DetectorParams, drive: DriveSpec) -> float:
@@ -114,6 +107,41 @@ def rabi_frequency(params: DetectorParams, drive: DriveSpec) -> float:
     if drive.kind is DriveKind.CONTINUOUS:
         return np.sqrt(2.0 * drive.alpha_sq * params.gamma_tl * drive.omega_s / np.pi)
     return np.sqrt(2.0 * drive.alpha_sq * params.gamma_tl / np.pi)
+
+
+def generator(params: DetectorParams) -> tuple[np.ndarray, np.ndarray]:
+    """The 4x4 matrices (A0, B) of dy/dt = (A0 + omega_R(t) B) y for
+    y = (v, p0, p1, pm): A0 holds the decay and tunneling rates, B the drive."""
+    gt = params.gamma_tilde
+    a0 = np.array([[-0.5 * gt, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, params.gamma_tl + params.gamma_rel, 0.0],
+                   [0.0, 0.0, -gt, 0.0],
+                   [0.0, 0.0, params.gamma_1, 0.0]])
+    b = np.array([[0.0, 1.0, -1.0, 0.0],
+                  [-0.5, 0.0, 0.0, 0.0],
+                  [0.5, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0]])
+    return a0, b
+
+
+def propagate(gen: np.ndarray, y0, t_eval: np.ndarray) -> np.ndarray:
+    """Exact solution of dy/dt = gen y from y(0) = y0, sampled on the uniform
+    grid ``t_eval`` (starting at 0), shape (len(y0), len(t_eval)).
+
+    One step matrix expm(gen dt) (scipy's scaling-and-squaring expm) is
+    applied sample by sample. A non-finite sample raises IntegrationError.
+    """
+    y = np.empty((len(y0), len(t_eval)))
+    y[:, 0] = y0
+    # overflow shows up as a non-finite sample, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = expm(gen * (t_eval[1] - t_eval[0]))
+        for k in range(1, len(t_eval)):
+            y[:, k] = step @ y[:, k - 1]
+    bad = ~np.isfinite(y).all(axis=0)
+    if bad.any():
+        raise IntegrationError("propagator is not finite", t_eval[np.argmax(bad)])
+    return y
 
 
 def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
@@ -140,89 +168,50 @@ def integrate(
     """Integrate the mean-field system from the ground state and sample it on
     a uniform grid.
 
-    A continuous drive is propagated exactly: with the constant generator A,
-    y(t + dt) = expm(A dt) y(t) (scipy's scaling-and-squaring expm). A pulse
-    drive is integrated with adaptive RK45.
+    A continuous drive is propagated exactly with the constant generator
+    A0 + omega_R B (:func:`propagate`). A pulse drive is integrated with
+    adaptive RK45 on the right-hand side (A0 + omega_R f(t) B) y.
 
-    A non-finite sample raises IntegrationError. Occupation bounds and (for
-    the lossless configuration) probability conservation are asserted at
-    every sample; a breach raises InvariantViolation rather than being
-    clipped.
+    A non-finite sample raises IntegrationError. Occupation bounds and
+    probability conservation are asserted at every sample; a breach raises
+    InvariantViolation rather than being clipped.
     """
     _check_preconditions(params, drive)
     if cfg is None:
         cfg = IntegratorConfig()
 
-    gt = params.gamma_tilde
-    gtl = params.gamma_tl
-    g1 = params.gamma_1
-
     if drive.kind is DriveKind.CONTINUOUS:
-        default_end = 20.0 / gt
+        default_end = 20.0 / params.gamma_tilde
     else:
         env = envelope_for(drive)
+        g1 = params.gamma_1
         default_end = env.t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
 
     t_end = cfg.t_end if cfg.t_end is not None else default_end
     t_eval = np.linspace(0.0, t_end, cfg.n_samples)
     ground = [0.0, 1.0, 0.0, 0.0]  # (v, p0, p1, pm)
+    a0, b = generator(params)
+    wr = rabi_frequency(params, drive)  # the prefactor of f(t) for a pulse
 
     if drive.kind is DriveKind.CONTINUOUS:
-        wr = rabi_frequency(params, drive)
-        gen = np.array(
-            [
-                [-0.5 * gt, wr, -wr, 0.0],
-                [-0.5 * wr, 0.0, gtl, 0.0],
-                [0.5 * wr, 0.0, -gt, 0.0],
-                [0.0, 0.0, g1, 0.0],
-            ]
-        )
-        y = np.empty((4, cfg.n_samples))
-        y[:, 0] = ground
-        # overflow shows up as a non-finite sample, checked below
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = expm(gen * (t_end / (cfg.n_samples - 1)))
-            for k in range(1, cfg.n_samples):
-                y[:, k] = step @ y[:, k - 1]
-        bad = ~np.isfinite(y).all(axis=0)
-        if bad.any():
-            raise IntegrationError("propagator is not finite", t_eval[np.argmax(bad)])
+        with np.errstate(invalid="ignore"):  # wr = inf gives NaN, which propagate reports
+            gen = a0 + wr * b
+        y = propagate(gen, ground, t_eval)
     else:
-        pref = rabi_frequency(params, drive)
-
         def rhs(t, y):
-            v, p0, p1, pm = y
-            wr = pref * env(t)
-            return [
-                -0.5 * gt * v + wr * (p0 - p1),
-                gtl * p1 - 0.5 * wr * v,
-                -gt * p1 + 0.5 * wr * v,
-                g1 * p1,
-            ]
+            # A0 y + omega_R (B y) rounds each component like the equations
+            # in the module docstring, and needs no 4x4 temporary
+            return a0.dot(y) + (wr * env(t)) * b.dot(y)
 
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_end),
-            ground,
-            method="RK45",
-            rtol=REL_TOL,
-            atol=ABS_TOL,
-            t_eval=t_eval,
-        )
+        sol = solve_ivp(rhs, (0.0, t_end), ground, method="RK45",
+                        rtol=REL_TOL, atol=ABS_TOL, t_eval=t_eval)
         if not sol.success:
             t_fail = sol.t[-1] if sol.t.size else 0.0
             raise IntegrationError(f"adaptive step failed: {sol.message}", t_fail)
         y = sol.y
 
-    traj = Trajectory(
-        times=t_eval,
-        v=y[0],
-        p0=y[1],
-        p1=y[2],
-        pm=y[3],
-        drive=drive,
-        params=params,
-    )
+    traj = Trajectory(times=t_eval, v=y[0], p0=y[1], p1=y[2], pm=y[3],
+                      drive=drive, params=params)
     _check_invariants(traj)
     return traj
 
@@ -235,14 +224,12 @@ def _check_invariants(traj: Trajectory, eps: float = SIMPLEX_EPS) -> None:
             raise InvariantViolation(
                 f"{name} = {arr[i]} outside [-{eps}, 1+{eps}] at t = {traj.times[i]}"
             )
-    p = traj.params
-    if p.gamma_0 == 0 and p.gamma_rel == 0 and p.gamma_res == 0:
-        total = traj.p0 + traj.p1 + traj.pm
-        if np.any(np.abs(total - 1.0) > eps):
-            i = int(np.argmax(np.abs(total - 1.0)))
-            raise InvariantViolation(
-                f"probability sum {total[i]} deviates from 1 at t = {traj.times[i]}"
-            )
+    total = traj.p0 + traj.p1 + traj.pm
+    if np.any(np.abs(total - 1.0) > eps):
+        i = int(np.argmax(np.abs(total - 1.0)))
+        raise InvariantViolation(
+            f"probability sum {total[i]} deviates from 1 at t = {traj.times[i]}"
+        )
 
 
 def reflection_series(traj: Trajectory) -> np.ndarray:

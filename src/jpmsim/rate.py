@@ -7,7 +7,9 @@ yields classical occupation dynamics
     dp1/dt =  b N p0 - (b N + gamma_tl + gamma_1 + gamma_rel) p1
     dpm/dt =  gamma_0 p0 + gamma_1 p1 - gamma_res pm
 
-with b = (2/pi) gamma_tl / gamma_tilde and incoming photon flux N.
+with b = (2/pi) gamma_tl / gamma_tilde and incoming photon flux N, that is
+d(p0, p1, pm)/dt = G p with the constant 3x3 matrix of :func:`generator`.
+A trajectory is propagated exactly with the matrix exponential of G.
 This model applies to continuous drive only.
 """
 
@@ -18,12 +20,17 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import TWO_PI, DetectorParams
+from .meanfield import propagate
 
 HBAR_SI = 1.054571817e-34  # J s
 PER_NS_TO_PER_S = 1e9
+
+
+def _require_flux(n_in) -> None:
+    if not 0.0 <= n_in < math.inf:  # False for NaN
+        raise ValueError(f"n_in must be a finite number >= 0, got {n_in!r}")
 
 
 def beta_coupling(params: DetectorParams) -> float:
@@ -34,40 +41,33 @@ def beta_coupling(params: DetectorParams) -> float:
     return (2.0 / np.pi) * params.gamma_tl / gt
 
 
+def generator(params: DetectorParams, n_in: float) -> np.ndarray:
+    """Generator G of the rate equations, d(p0, p1, pm)/dt = G p, under flux
+    n_in [photons/ns]. Each column sums to zero."""
+    _require_flux(n_in)
+    p = params
+    bn = beta_coupling(p) * n_in
+    return np.array([[-(bn + p.gamma_0), bn + p.gamma_tl + p.gamma_rel, p.gamma_res],
+                     [bn, -(bn + p.gamma_tl + p.gamma_1 + p.gamma_rel), 0.0],
+                     [p.gamma_0, p.gamma_1, -p.gamma_res]])
+
+
 def rate_rhs(params: DetectorParams, n_in: float, p) -> np.ndarray:
-    """Time derivative of (p0, p1, pm) under flux n_in [photons/ns].
+    """Time derivative G p of (p0, p1, pm) under flux n_in [photons/ns].
 
     The three components sum to zero identically.
     """
-    if n_in < 0:
-        raise ValueError(f"n_in must be >= 0, got {n_in}")
-    p0, p1, pm = p
-    bn = beta_coupling(params) * n_in
-    dp0 = -(bn + params.gamma_0) * p0 + (bn + params.gamma_tl + params.gamma_rel) * p1 \
-        + params.gamma_res * pm
-    dp1 = bn * p0 - (bn + params.gamma_tl + params.gamma_1 + params.gamma_rel) * p1
-    dpm = params.gamma_0 * p0 + params.gamma_1 * p1 - params.gamma_res * pm
-    return np.array([dp0, dp1, dpm])
+    return generator(params, n_in) @ p
 
 
 def integrate_rate(params: DetectorParams, n_in: float, t_end: float):
-    """Numerically integrate the rate equations from (1, 0, 0).
+    """Propagate the rate equations exactly from (1, 0, 0): one step matrix
+    expm(G dt) applied over the sample grid (:func:`meanfield.propagate`).
 
     Returns (times, p) with p of shape (3, 400), sampled uniformly on [0, t_end].
     """
     t_eval = np.linspace(0.0, t_end, 400)
-    sol = solve_ivp(
-        lambda t, p: rate_rhs(params, n_in, p),
-        (0.0, t_end),
-        [1.0, 0.0, 0.0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise RuntimeError(f"rate integration failed: {sol.message}")
-    return sol.t, sol.y
+    return t_eval, propagate(generator(params, n_in), [1.0, 0.0, 0.0], t_eval)
 
 
 def closed_form_drive_rate(params: DetectorParams, alpha_sq: float) -> float:
@@ -133,8 +133,7 @@ def steady_state(params: DetectorParams, n_in: float):
             "stationary formulas require gamma_res > 0; "
             "for gamma_res = 0 use closed_form_p1_pm"
         )
-    if n_in < 0:
-        raise ValueError(f"n_in must be >= 0, got {n_in}")
+    _require_flux(n_in)
     bn = beta_coupling(params) * n_in
     c = bn / (bn + params.gamma_tl + params.gamma_1 + params.gamma_rel)
     reset = (params.gamma_0 + params.gamma_1 * c) / params.gamma_res
@@ -294,6 +293,7 @@ class EfficiencyReport:
 
 def build_report(params: DetectorParams, n_in: float = 0.0) -> EfficiencyReport:
     """Assemble the efficiency report; count rates evaluated at flux n_in."""
+    _require_flux(n_in)
     det = eta_max(params)
     loss = eta_loss(params)
     eta = loss * det

@@ -317,6 +317,12 @@ NUMERICAL = {"keeps growing", "collides"}
     (["sweep", "--format", "json"], {"axis1": {**AXIS, "points": 2.5}, "t_m": 5.0}, "points"),
     (["sweep", "--format", "json"], {"axis1": {**AXIS, "points": "8"}, "t_m": 5.0}, "points"),
     (["sweep", "--format", "json"], {"axis1": {**AXIS, "points": True}, "t_m": 5.0}, "points"),
+    (["efficiency", "--gamma-res", "1", "--n-in", "nan"], None, "n_in"),
+    (["efficiency", "--gamma-res", "1", "--n-in", "inf"], None, "n_in"),
+    (["analytic", "--mode", "exp-steady", "--alpha-sq", "0.1", "--kappa", "nan"], None, "kappa"),
+    (["analytic", "--mode", "exp-steady", "--alpha-sq", "nan", "--kappa", "1"], None, "alpha_sq"),
+    (["analytic", "--mode", "exp-steady", "--alpha-sq", "-0.1", "--kappa", "1"], None, "alpha_sq"),
+    (["analytic", "--mode", "poles", "--alpha-sq", "-1"], None, "alpha_sq"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
     monkeypatch.chdir(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from jpmsim import analytic, meanfield, pulses
+from jpmsim import analytic, meanfield, pulses, rate
 from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
 
 OMEGA = omega_from_ghz(5.0)
@@ -127,7 +127,7 @@ def dop853_reference(p, a2, times):
 
     def rhs(t, y):
         v, p0, p1, _ = y
-        return [-0.5 * gt * v + wr * (p0 - p1), p.gamma_tl * p1 - 0.5 * wr * v,
+        return [-0.5 * gt * v + wr * (p0 - p1), (p.gamma_tl + p.gamma_rel) * p1 - 0.5 * wr * v,
                 -gt * p1 + 0.5 * wr * v, p.gamma_1 * p1]
 
     sol = solve_ivp(rhs, (0.0, times[-1]), [0.0, 1.0, 0.0, 0.0], method="DOP853",
@@ -180,6 +180,46 @@ class TestExactContinuousPropagator:
         traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA))
         ref = dop853_reference(p, a2, traj.times)
         assert np.max(np.abs(components(traj) - ref)) < 1e-10
+
+
+class TestGenerator:
+    def test_lossless_matches_hand_written_matrix(self):
+        # the continuous-drive generator as it was written out by hand
+        p = make_params(gamma_tl=0.7, gamma_1=1.3)
+        wr = meanfield.rabi_frequency(p, DriveSpec.continuous(0.04, OMEGA))
+        gt, gtl, g1 = p.gamma_tilde, p.gamma_tl, p.gamma_1
+        hand = np.array([
+            [-0.5 * gt, wr, -wr, 0.0],
+            [-0.5 * wr, 0.0, gtl, 0.0],
+            [0.5 * wr, 0.0, -gt, 0.0],
+            [0.0, 0.0, g1, 0.0],
+        ])
+        a0, b = meanfield.generator(p)
+        assert np.array_equal(a0 + wr * b, hand)
+
+
+class TestRelaxation:
+    @pytest.mark.parametrize("drive", [
+        DriveSpec.continuous(0.05, OMEGA),
+        DriveSpec.exponential(0.5, OMEGA, kappa=2.0),
+    ], ids=["continuous", "exp"])
+    def test_probability_conserved(self, drive):
+        p = make_params(gamma_rel=0.5)
+        traj = meanfield.integrate(p, drive, meanfield.IntegratorConfig(t_end=30.0))
+        total = traj.p0 + traj.p1 + traj.pm
+        assert np.max(np.abs(total - 1.0)) < 1e-10
+
+    def test_strong_drive_matches_rate_closed_form(self):
+        # relaxation returns the excitation to the ground state, from where
+        # the strong drive pumps it again: every photon is counted eventually
+        p = make_params(gamma_rel=0.5)
+        a2 = 5.0
+        traj = meanfield.integrate(
+            p, DriveSpec.continuous(a2, OMEGA), meanfield.IntegratorConfig(t_end=30.0)
+        )
+        _, pm = rate.closed_form_p1_pm(p, a2, traj.times[-1])
+        assert traj.pm[-1] == pytest.approx(1.0, abs=1e-3)
+        assert abs(traj.pm[-1] - pm) < 1e-3
 
 
 class TestConfigAndInvariants:

@@ -47,6 +47,36 @@ class TestRhs:
             rate.rate_rhs(make_params(), -1.0, (1.0, 0.0, 0.0))
 
 
+class TestGenerator:
+    def test_null_vector_is_steady_state(self):
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(60):
+            g = rng.uniform(0.05, 2, size=5)
+            p = make_params(gamma_tl=g[0], gamma_0=g[1], gamma_1=g[2],
+                            gamma_rel=g[3], gamma_res=g[4])
+            n_in = rng.uniform(0, 5)
+            null = np.linalg.svd(rate.generator(p, n_in))[2][-1]
+            worst = max(worst, np.max(np.abs(null / null.sum() - rate.steady_state(p, n_in))))
+        assert worst < 1e-12
+
+    def test_columns_sum_to_zero(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            g = rng.uniform(0, 2, size=5)
+            p = make_params(gamma_tl=g[0] + 0.01, gamma_0=g[1], gamma_1=g[2],
+                            gamma_rel=g[3], gamma_res=g[4])
+            cols = rate.generator(p, rng.uniform(0, 5)).sum(axis=0)
+            assert np.max(np.abs(cols)) < 1e-15
+
+    @pytest.mark.parametrize("n_in", [-1.0, math.nan, math.inf])
+    def test_bad_flux_rejected(self, n_in):
+        p = make_params(gamma_res=1.0)
+        for call in (rate.generator, rate.steady_state, rate.build_report):
+            with pytest.raises(ValueError, match="n_in"):
+                call(p, n_in)
+
+
 class TestClosedForm:
     def test_initial_values(self):
         p = make_params()
@@ -61,8 +91,8 @@ class TestClosedForm:
         n_in = a2 * p.omega_0  # flux convention matching the closed form
         t, occ = rate.integrate_rate(p, n_in, t_end)
         p1, pm = rate.closed_form_p1_pm(p, a2, t)
-        assert np.max(np.abs(p1 - occ[1])) < 1e-8
-        assert np.max(np.abs(pm - occ[2])) < 1e-8
+        assert np.max(np.abs(p1 - occ[1])) < 1e-12
+        assert np.max(np.abs(pm - occ[2])) < 1e-12
 
     def test_no_measurement_rate(self):
         # gamma_1 = 0: nothing is ever measured, and p1 still follows the ODE
