@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic, meanfield, pulses, rate, sweep
-from .core import DetectorParams, DriveSpec, omega_from_ghz
+from .core import DetectorParams, DriveSpec, omega_from_ghz, strict_json
 
 
 #: Defaults of the detector parameters and the drive, shared by the flags and
@@ -149,7 +149,7 @@ def cmd_nep(args) -> int:
     if args.matched:
         params = replace(params, gamma_tl=rate.matching_gamma_tl(params))
     value = rate.nep(params)
-    _emit(json.dumps({"nep": value, "units": "W/sqrt(Hz)"}), args.output)
+    _emit(strict_json({"nep": value, "units": "W/sqrt(Hz)"}), args.output)
     return 0
 
 
@@ -167,7 +167,7 @@ def cmd_analytic(args) -> int:
             "poles": [[s.real, s.imag] for s in ps.poles],
             "residues": [[r.real, r.imag] for r in ps.residues],
         }
-        _emit(json.dumps(data, indent=2), args.output)
+        _emit(strict_json(data, 2), args.output)
         return 0
     if args.kappa is None:
         raise ValueError("--kappa required for exp-steady")
@@ -186,7 +186,7 @@ def cmd_optimize(args) -> int:
         "pm": res.pm,
         "at_boundary": res.at_boundary,
     }
-    _emit(json.dumps(data, indent=2), args.output)
+    _emit(strict_json(data, 2), args.output)
     return 0
 
 

@@ -9,6 +9,7 @@ Keeping everything O(1)-O(10) in these units avoids artificial stiffness.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,25 @@ def _require_int(name: str, value, minimum: int) -> None:
     bool) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def strict_json(data, indent: int | None = None) -> str:
+    """JSON text of ``data`` with every non-finite float written as null.
+
+    json.dumps would write NaN and Infinity, which strict JSON parsers
+    reject; allow_nan=False makes sure no such token is left.
+    """
+
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return x
+
+    return json.dumps(finite(data), indent=indent, allow_nan=False)
 
 
 def omega_from_ghz(freq_ghz: float) -> float:

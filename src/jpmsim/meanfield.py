@@ -12,19 +12,31 @@ that is dy/dt = (A0 + omega_R(t) B) y with the matrices of :func:`generator`.
 omega_R is constant for a continuous drive and carries the pulse envelope
 f(t) otherwise. A continuous drive makes the system linear and
 time-invariant, and it is propagated exactly with the matrix exponential
-(:func:`propagate`); a pulse drive is integrated with adaptive RK45. This
-module assumes a single measurement event and no dark counts: gamma_res and
-gamma_0 must be zero.
+(:func:`propagate`). Pulse drives are integrated by :func:`integrate_pulses`:
+LSODA, which switches to a stiff method when the rates call for it, with the
+exact Jacobian A0 + omega_R f(t) B. It takes N cells that share one envelope
+as a single 4N-state system, so a pulse sweep makes one solver call where it
+would make N. This module assumes a single measurement event and no dark
+counts: gamma_res and gamma_0 must be zero.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 from scipy.linalg import expm
+
+# Pulses go through odeint, which runs the same LSODA: in scipy 1.17.1,
+# solve_ivp(method="LSODA") never frees its LSODA work arrays (over 100 bytes
+# per state component and call), so memory grows with every stacked sweep.
+# solve_ivp stays importable as meanfield.solve_ivp, the name the benchmark's
+# tracer (perfbench/spans.py) wraps.
+from scipy.integrate import solve_ivp  # noqa: E402,F401
 
 from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int
 from .pulses import envelope_for
@@ -33,9 +45,20 @@ from .pulses import envelope_for
 #: that continues after the envelope has passed.
 PULSE_TAIL_FACTOR = 10.0
 
-#: Relative and absolute tolerances of the adaptive RK45 step (pulse drives).
-REL_TOL = 1e-8
-ABS_TOL = 1e-10
+#: Relative and absolute tolerances of the LSODA step (pulse drives). LSODA
+#: tests its local error in a weighted max norm, so every component of a
+#: stacked state meets them and no cell can hide its error behind the others.
+REL_TOL = 1e-9
+ABS_TOL = 1e-11
+
+#: Most LSODA steps between two samples before a pulse integration fails.
+MAX_STEPS = 100_000
+
+GROUND = (0.0, 1.0, 0.0, 0.0)  # (v, p0, p1, pm)
+
+# Entry (i, j) of a 4x4 diagonal block sits at row 3 + i - j of LSODA's packed
+# band (lband = uband = 3), in the column of j.
+_BAND_ROW = 3 + np.subtract.outer(np.arange(4), np.arange(4))
 
 
 class IntegrationError(RuntimeError):
@@ -55,9 +78,9 @@ class IntegratorConfig:
     """End time and number of uniform samples of a trajectory.
 
     A continuous drive is propagated exactly from sample to sample with
-    expm, a pulse is integrated with adaptive RK45 and sampled. With
-    ``t_end`` None a continuous drive runs to 20/gamma_tilde and a pulse to
-    the end of its envelope's support plus a tunneling tail.
+    expm, a pulse is integrated with LSODA (:func:`integrate_pulses`) and
+    sampled. With ``t_end`` None a continuous drive runs to 20/gamma_tilde
+    and a pulse to the end of its envelope's support plus a tunneling tail.
     """
 
     t_end: float | None = None
@@ -155,7 +178,7 @@ def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
             "mean-field closure assumes gamma_res = 0 (single measurement); "
             f"got gamma_res = {params.gamma_res}"
         )
-    if not np.isclose(drive.omega_s, params.omega_0, rtol=1e-12, atol=0.0):
+    if not abs(drive.omega_s - params.omega_0) <= 1e-12 * params.omega_0:
         raise ValueError(
             f"only resonant drive supported: omega_s = {drive.omega_s} "
             f"!= omega_0 = {params.omega_0}"
@@ -169,51 +192,106 @@ def integrate(
     a uniform grid.
 
     A continuous drive is propagated exactly with the constant generator
-    A0 + omega_R B (:func:`propagate`). A pulse drive is integrated with
-    adaptive RK45 on the right-hand side (A0 + omega_R f(t) B) y.
+    A0 + omega_R B (:func:`propagate`). A pulse drive is the one-cell call of
+    :func:`integrate_pulses`.
 
     A non-finite sample raises IntegrationError. Occupation bounds and
     probability conservation are asserted at every sample; a breach raises
     InvariantViolation rather than being clipped.
     """
-    _check_preconditions(params, drive)
     if cfg is None:
         cfg = IntegratorConfig()
-
     if drive.kind is DriveKind.CONTINUOUS:
-        default_end = 20.0 / params.gamma_tilde
-    else:
-        env = envelope_for(drive)
-        g1 = params.gamma_1
-        default_end = env.t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
-
-    t_end = cfg.t_end if cfg.t_end is not None else default_end
-    t_eval = np.linspace(0.0, t_end, cfg.n_samples)
-    ground = [0.0, 1.0, 0.0, 0.0]  # (v, p0, p1, pm)
-    a0, b = generator(params)
-    wr = rabi_frequency(params, drive)  # the prefactor of f(t) for a pulse
-
-    if drive.kind is DriveKind.CONTINUOUS:
+        _check_preconditions(params, drive)
+        t_end = cfg.t_end if cfg.t_end is not None else 20.0 / params.gamma_tilde
+        t_eval = np.linspace(0.0, t_end, cfg.n_samples)
+        a0, b = generator(params)
         with np.errstate(invalid="ignore"):  # wr = inf gives NaN, which propagate reports
-            gen = a0 + wr * b
-        y = propagate(gen, ground, t_eval)
+            gen = a0 + rabi_frequency(params, drive) * b
+        y = propagate(gen, GROUND, t_eval)
     else:
-        def rhs(t, y):
-            # A0 y + omega_R (B y) rounds each component like the equations
-            # in the module docstring, and needs no 4x4 temporary
-            return a0.dot(y) + (wr * env(t)) * b.dot(y)
-
-        sol = solve_ivp(rhs, (0.0, t_end), ground, method="RK45",
-                        rtol=REL_TOL, atol=ABS_TOL, t_eval=t_eval)
-        if not sol.success:
-            t_fail = sol.t[-1] if sol.t.size else 0.0
-            raise IntegrationError(f"adaptive step failed: {sol.message}", t_fail)
-        y = sol.y
+        t_eval = None if cfg.t_end is None else np.linspace(0.0, cfg.t_end, cfg.n_samples)
+        t_eval, ys = integrate_pulses([(params, drive)], t_eval, cfg.n_samples)
+        y = ys[0]
 
     traj = Trajectory(times=t_eval, v=y[0], p0=y[1], p1=y[2], pm=y[3],
                       drive=drive, params=params)
     _check_invariants(traj)
     return traj
+
+
+def integrate_pulses(
+    cells: Sequence[tuple[DetectorParams, DriveSpec]],
+    t_eval: np.ndarray | None = None,
+    n_samples: int = 400,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate N pulse-driven cells from the ground state as one 4N-state
+    system, y = (y_1, ..., y_N), with LSODA and the exact Jacobian.
+
+    ``cells`` holds (params, drive) pairs whose drives share one envelope;
+    they may differ in alpha_sq and in every detector rate. ``t_eval`` is the
+    increasing sample grid from 0; with None it is ``n_samples`` uniform times
+    up to the end of the envelope's support plus PULSE_TAIL_FACTOR/gamma_1 of
+    the slowest cell. Returns ``(t_eval, y)`` with y of shape
+    (N, 4, len(t_eval)). The Jacobian is block diagonal, one block
+    A0_k + omega_R,k f(t) B per cell, and LSODA gets it as a band. A failed
+    step raises IntegrationError; the invariants are left to the caller.
+    """
+    key = envelope_key(cells[0][1])
+    for params, drive in cells:
+        _check_preconditions(params, drive)
+        if envelope_key(drive) != key:
+            raise ValueError("stacked pulse cells must share one envelope")
+    env = envelope_for(cells[0][1])
+    if t_eval is None:
+        tail = max(PULSE_TAIL_FACTOR / p.gamma_1 if p.gamma_1 > 0 else 0.0 for p, _ in cells)
+        t_eval = np.linspace(0.0, env.t_end + tail, n_samples)
+
+    n = len(cells)
+    gens = [generator(params) for params, _ in cells]
+    a0 = np.array([a for a, _ in gens])  # wb[k] = omega_R,k B; f(t) is shared
+    wb = np.array([rabi_frequency(p, d) * b for (p, d), (_, b) in zip(cells, gens)])
+    band_col = 4 * np.arange(n)[:, None, None] + np.arange(4)
+    band_a0, band_wb = np.zeros((7, 4 * n)), np.zeros((7, 4 * n))
+    band_a0[_BAND_ROW, band_col] = a0
+    band_wb[_BAND_ROW, band_col] = wb
+
+    def rhs(t, y):
+        return ((a0 + env(t) * wb) @ y.reshape(n, 4, 1)).ravel()
+
+    def jac(t, y):
+        return band_a0 + env(t) * band_wb
+
+    def solve(samples, y0, max_step):
+        # samples[0] is the start time; an LSODA failure warns and is checked
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ODEintWarning)
+            y, info = odeint(rhs, y0, samples, Dfun=jac, ml=3, mu=3, rtol=REL_TOL,
+                             atol=ABS_TOL, hmax=max_step, mxstep=MAX_STEPS,
+                             full_output=True, tfirst=True)
+        if info["message"] != "Integration successful.":
+            raise IntegrationError(f"LSODA failed: {info['message']}", float(info["tcur"].max()))
+        return y.T
+
+    # Where the envelope is still ~0 at both ends of a step, LSODA sees no
+    # error and can step over a pulse that starts late (a late t0, a table
+    # that starts late). Until the envelope ends the step is held to 1/16 of
+    # its support; from there it is free (hmax 0).
+    t_cut = min(env.t_end, t_eval[-1])
+    k = int(np.searchsorted(t_eval, t_cut, side="right"))  # samples up to t_cut
+    head = solve(np.union1d(t_eval[:k], [t_cut]), np.tile(GROUND, n),
+                 (env.t_end - env.t_start) / 16.0)
+    y = head[:, :k]
+    if k < len(t_eval):
+        y = np.hstack([y, solve(np.append(t_cut, t_eval[k:]), head[:, -1], 0.0)[:, 1:]])
+    return t_eval, y.reshape(n, 4, -1)
+
+
+def envelope_key(drive: DriveSpec) -> tuple:
+    """The fields of a pulse drive that shape its envelope: drives with equal
+    keys can share one :func:`integrate_pulses` call."""
+    return (drive.kind, drive.kappa, drive.sigma, drive.t0, drive.paper_literal,
+            drive.table_t, drive.table_f)
 
 
 def _check_invariants(traj: Trajectory, eps: float = SIMPLEX_EPS) -> None:

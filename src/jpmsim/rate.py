@@ -15,13 +15,12 @@ This model applies to continuous drive only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import TWO_PI, DetectorParams
+from .core import TWO_PI, DetectorParams, strict_json
 from .meanfield import propagate
 
 HBAR_SI = 1.054571817e-34  # J s
@@ -288,7 +287,7 @@ class EfficiencyReport:
             "gamma_bright": "1/ns",
             "nep": "W/sqrt(Hz)",
         }
-        return json.dumps(data, indent=indent)
+        return strict_json(data, indent)
 
 
 def build_report(params: DetectorParams, n_in: float = 0.0) -> EfficiencyReport:

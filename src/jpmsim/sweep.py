@@ -1,16 +1,19 @@
 """Parameter sweeps (1D/2D) and 1D maximization of the figure-of-merit.
 
-Grid cells are independent and run serially in row-major order; failures
-are isolated per cell so a stiff corner cannot kill a whole run. A thread
-pool does not help here: each cell holds the interpreter lock for its whole
-integration, and threads measured slower than the serial loop. Rate-like
-axes default to log scale since the interesting structure spans decades.
+The pm_at_tm cells of a pulse drive are integrated together: all cells that
+share one envelope go into one stacked :func:`meanfield.integrate_pulses`
+call. Rate objectives and continuous-drive cells run serially in row-major
+order, one cell after another; a thread pool does not help there, because
+each cell holds the interpreter lock, and threads measured slower than the
+serial loop. Failures are isolated per cell so a stiff corner cannot kill a
+whole run: a stacked call that fails, or a cell of it that breaks an
+invariant, falls back to integrating each of its cells alone. Rate-like axes
+default to log scale since the interesting structure spans decades.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import meanfield, rate
-from .core import DetectorParams, DriveSpec, _require_finite, _require_int
+from .core import DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int, strict_json
 
 #: Each sweepable name and the object a cell sets it on: the detector
 #: parameters, the drive or the measurement time.
@@ -133,16 +136,12 @@ class SweepResult:
                 "name": self.spec.axis2.name,
                 "values": self.axis2_values.tolist(),
             }
-        return json.dumps(data, indent=indent)
+        return strict_json(data, indent)
 
 
-def _evaluate_cell(spec: SweepSpec, cell: dict) -> float:
-    """The objective with the swept values of one cell, ``cell`` mapping each
-    target of PARAM_TARGETS to the fields swept on it."""
-    params = replace(spec.params, **cell["params"]) if cell["params"] else spec.params
-    drive = replace(spec.drive, **cell["drive"]) if cell["drive"] else spec.drive
+def _evaluate_cell(spec: SweepSpec, params: DetectorParams, drive: DriveSpec, t_m) -> float:
     if spec.objective == "pm_at_tm":
-        return _pm_at(params, drive, cell["t_m"].get("t_m", spec.t_m))
+        return _pm_at(params, drive, t_m)
     if spec.objective == "steady_pm":
         _, _, pm = rate.steady_state(params, spec.n_in)
         return float(pm)
@@ -153,31 +152,71 @@ def _evaluate_cell(spec: SweepSpec, cell: dict) -> float:
     raise AssertionError(spec.objective)
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the objective on the dense grid, one cell after another.
+def _pm_at_pulses(group: list, values: np.ndarray, errors: list) -> None:
+    """pm_at_tm of pulse cells (idx, params, drive, t_m) that share one
+    envelope, in one stacked integration up to the largest t_m. A cell is
+    integrated alone instead if the stacked call fails or its stacked
+    trajectory breaks an invariant; a cell that fails alone too is left NaN
+    and its index goes to ``errors``."""
+    t_eval = np.concatenate(([0.0], np.unique([t_m for *_, t_m in group])))
+    try:
+        _, y = meanfield.integrate_pulses([(p, d) for _, p, d, _ in group], t_eval)
+    except Exception:  # per-cell isolation below
+        y = None
+    for k, (idx, params, drive, t_m) in enumerate(group):
+        if y is not None:
+            traj = meanfield.Trajectory(t_eval, *y[k], drive=drive, params=params)
+            try:
+                meanfield._check_invariants(traj)
+                values[idx] = traj.pm[np.searchsorted(t_eval, t_m)]
+                continue
+            except meanfield.InvariantViolation:
+                pass
+        try:
+            values[idx] = _pm_at(params, drive, t_m)
+        except Exception:  # per-cell isolation
+            errors.append(idx)
 
-    Deterministic for a given spec; per-cell failures become NaN and are
-    listed in the result.
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the objective on the dense grid.
+
+    The pm_at_tm cells of a pulse drive are integrated in one stacked call
+    per envelope (one in all unless ``sigma`` or ``kappa`` is swept); every
+    other cell is evaluated on its own. Deterministic for a given spec;
+    per-cell failures become NaN and are listed in the result.
     """
     axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
     grids = [ax.grid() for ax in axes]
     values = np.full([g.size for g in grids], np.nan)
     errors = []
+    stacked = spec.objective == "pm_at_tm" and spec.drive.kind is not DriveKind.CONTINUOUS
+    groups = {}  # envelope key -> pulse cells that share it
     for idx in np.ndindex(values.shape):
-        cell = {"params": {}, "drive": {}, "t_m": {}}
+        cell = {"params": {}, "drive": {}, "t_m": {}}  # the swept fields by target
         for ax, g, i in zip(axes, grids, idx):
             cell[PARAM_TARGETS[ax.name]][ax.name] = g[i]
         try:
-            values[idx] = _evaluate_cell(spec, cell)
+            params = replace(spec.params, **cell["params"]) if cell["params"] else spec.params
+            drive = replace(spec.drive, **cell["drive"]) if cell["drive"] else spec.drive
+            t_m = cell["t_m"].get("t_m", spec.t_m)
+            if stacked:
+                meanfield._check_preconditions(params, drive)  # keeps a bad cell out of its group
+                groups.setdefault(meanfield.envelope_key(drive), []).append(
+                    (idx, params, drive, t_m))
+            else:
+                values[idx] = _evaluate_cell(spec, params, drive, t_m)
         except Exception:  # per-cell isolation
             errors.append(idx)
+    for group in groups.values():
+        _pm_at_pulses(group, values, errors)
 
     return SweepResult(
         spec=spec,
         axis1_values=grids[0],
         axis2_values=grids[1] if spec.axis2 is not None else None,
         values=values,
-        errors=tuple(errors),
+        errors=tuple(sorted(errors)),
     )
 
 

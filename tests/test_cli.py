@@ -352,6 +352,31 @@ def test_stiff_continuous_drive_finishes(gamma_tl, code, message):
     assert "Traceback" not in done.stderr
 
 
+def test_stiff_pulse_finishes():
+    # gamma_tl 1e6 GHz against a 1 GHz pulse: only a stiff method gets through
+    env = {**os.environ, "PYTHONPATH": str(Path(jpmsim.__file__).parents[1])}
+    argv = [sys.executable, "-m", "jpmsim.cli", "simulate", "--drive", "exp",
+            "--alpha-sq", "0.1", "--kappa", "1", "--gamma-tl", "1e6"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr
+
+
+def reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nep", "--gamma-0", "0.01", "--gamma-res", "1", "--gamma-tl", "0"],
+    ["efficiency", "--gamma-tl", "0", "--gamma-0", "0.1", "--gamma-res", "1"],
+], ids=["nep", "efficiency"])
+def test_infinite_nep_is_null(capsys, argv):
+    # no coupling with dark counts: the NEP is infinite
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out, parse_constant=reject_constant)["nep"] is None
+
+
 @pytest.mark.parametrize("flags,block", [
     (["--drive", "exp", "--kappa", "3"], {"kind": "exp", "kappa": 3.0}),
     (["--drive", "gauss", "--sigma", "1.5", "--t0", "5"],
@@ -366,13 +391,13 @@ def test_simulate_and_sweep_build_the_same_drive(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pulse.csv").write_text("t,f\n0,0\n1,1\n3,0\n")
     seen = []
-    integrate = meanfield.integrate
+    integrate_pulses = meanfield.integrate_pulses
 
-    def spy(params, drive, cfg=None):
-        seen.append((params, drive))
-        return integrate(params, drive, cfg)
+    def spy(cells, *args):
+        seen.append(list(cells))
+        return integrate_pulses(cells, *args)
 
-    monkeypatch.setattr(meanfield, "integrate", spy)
+    monkeypatch.setattr(meanfield, "integrate_pulses", spy)
     assert main(["simulate", "--alpha-sq", "0.2", "--gamma-1", "1.3", *flags]) == 0
     spec = {
         "axis1": {"name": "gamma_tl", "min": 1.0, "max": 1.0, "points": 1},

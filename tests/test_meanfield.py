@@ -182,6 +182,77 @@ class TestExactContinuousPropagator:
         assert np.max(np.abs(components(traj) - ref)) < 1e-10
 
 
+#: A trapezoid-like pulse table starting at t = 0.5 ns.
+TABLE = ([0.5, 1.5, 3.0, 4.0], [0.0, 1.0, 0.6, 0.0])
+
+
+class TestPulseLSODA:
+    def test_matches_dop853(self, dop853_pulse):
+        # seeded exponential, Gaussian and tabulated pulses; every other case
+        # with relaxation
+        rng = np.random.default_rng(21)
+        for i in range(12):
+            gtl, g1 = 10.0 ** rng.uniform(-1, 1, size=2)
+            p = make_params(gamma_tl=gtl, gamma_1=g1, gamma_rel=0.5 * rng.random() * (i % 2))
+            a2 = 10.0 ** rng.uniform(-2, 0.7)
+            d = (DriveSpec.exponential(a2, OMEGA, 10.0 ** rng.uniform(-0.5, 0.7)),
+                 DriveSpec.gaussian(a2, OMEGA, 10.0 ** rng.uniform(-0.3, 0.5)),
+                 DriveSpec.tabulated(a2, OMEGA, *TABLE))[i % 3]
+            traj = meanfield.integrate(p, d, meanfield.IntegratorConfig(n_samples=20))
+            ref = dop853_pulse(p, d, traj.times)
+            assert np.max(np.abs(components(traj) - ref)) < 1e-8
+
+    @pytest.mark.parametrize("drive", [
+        DriveSpec.gaussian(2.0, OMEGA, sigma=0.7, t0=30.0),
+        DriveSpec.tabulated(1.0, OMEGA, np.add(TABLE[0], 40.0), TABLE[1]),
+    ], ids=["gauss-t0-30", "table-from-40"])
+    def test_late_pulse_not_stepped_over(self, drive, dop853_pulse):
+        # before the pulse the state sits still, so nothing in the error
+        # estimate stops a step from jumping the whole pulse
+        p = make_params(gamma_rel=0.2)
+        traj = meanfield.integrate(p, drive, meanfield.IntegratorConfig(n_samples=5))
+        ref = dop853_pulse(p, drive, traj.times)
+        assert traj.pm[-1] > 0.05
+        assert np.max(np.abs(components(traj) - ref)) < 1e-8
+
+    def test_banded_jacobian_is_exact(self, monkeypatch):
+        # the right-hand side is linear in y, so its Jacobian has columns
+        # rhs(t, e_j); the band holds entry (i, j) at row i - j + 3 (mu = 3)
+        seen = {}
+        odeint = meanfield.odeint
+
+        def spy(func, y0, t, **kw):
+            seen.update(rhs=func, jac=kw["Dfun"], ml=kw["ml"], mu=kw["mu"])
+            return odeint(func, y0, t, **kw)
+
+        monkeypatch.setattr(meanfield, "odeint", spy)
+        cells = [(make_params(gamma_tl=0.5, gamma_rel=0.1), DriveSpec.gaussian(0.2, OMEGA, 1.0)),
+                 (make_params(gamma_tl=3.0, gamma_1=2.0), DriveSpec.gaussian(1.5, OMEGA, 1.0))]
+        meanfield.integrate_pulses(cells, np.array([0.0, 2.0]))
+        assert (seen["ml"], seen["mu"]) == (3, 3)
+        t = 1.7
+        dense = np.column_stack([seen["rhs"](t, e) for e in np.eye(8)])
+        band = seen["jac"](t, np.zeros(8))
+        i, j = np.indices((8, 8))
+        inside = np.abs(i - j) <= 3
+        np.testing.assert_allclose(band[i[inside] - j[inside] + 3, j[inside]], dense[inside],
+                                   rtol=1e-14, atol=1e-15)
+        assert not dense[~inside].any()
+        # and each diagonal block is A0 + omega_R f(t) B of its own cell
+        env = pulses.envelope_for(cells[0][1])
+        for k, (p, d) in enumerate(cells):
+            a0, b = meanfield.generator(p)
+            block = dense[4 * k:4 * k + 4, 4 * k:4 * k + 4]
+            np.testing.assert_allclose(block, a0 + meanfield.rabi_frequency(p, d) * env(t) * b,
+                                       rtol=1e-14, atol=1e-15)
+
+    def test_stacked_cells_need_one_envelope(self):
+        p = make_params()
+        cells = [(p, DriveSpec.gaussian(1.0, OMEGA, 1.0)), (p, DriveSpec.gaussian(1.0, OMEGA, 2.0))]
+        with pytest.raises(ValueError, match="one envelope"):
+            meanfield.integrate_pulses(cells, np.array([0.0, 5.0]))
+
+
 class TestGenerator:
     def test_lossless_matches_hand_written_matrix(self):
         # the continuous-drive generator as it was written out by hand

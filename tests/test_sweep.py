@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,102 @@ class TestRunSweep:
         assert np.array_equal(a.values, b.values)
 
 
+def cell_inputs(spec, res, idx):
+    """The detector, drive and t_m of one cell of a sweep result."""
+    swept = {spec.axis1.name: res.axis1_values[idx[0]]}
+    if spec.axis2 is not None:
+        swept[spec.axis2.name] = res.axis2_values[idx[1]]
+    by_target = {"params": {}, "drive": {}, "t_m": {}}
+    for name, value in swept.items():
+        by_target[sweep.PARAM_TARGETS[name]][name] = value
+    return (replace(spec.params, **by_target["params"]),
+            replace(spec.drive, **by_target["drive"]),
+            by_target["t_m"].get("t_m", spec.t_m))
+
+
+Ax = sweep.SweepAxis
+TABLE = ([0.5, 1.5, 3.0, 4.0], [0.0, 1.0, 0.6, 0.0])
+STACKED_GRIDS = {
+    "exp": (Ax("gamma_tl", 0.2, 5.0, 3), Ax("alpha_sq", 0.05, 3.0, 2),
+            make_params(gamma_1=1.3), DriveSpec.exponential(1.0, OMEGA, 1.5), 25.0),
+    "gauss-relaxation": (Ax("gamma_tl", 0.2, 5.0, 3), Ax("alpha_sq", 0.05, 3.0, 2),
+                         make_params(gamma_rel=0.3), DriveSpec.gaussian(1.0, OMEGA, 1.2), 15.0),
+    "table-relaxation": (Ax("gamma_tl", 0.2, 5.0, 3), Ax("alpha_sq", 0.05, 3.0, 2),
+                         make_params(gamma_rel=0.1), DriveSpec.tabulated(1.0, OMEGA, *TABLE), 12.0),
+    # one stiff cell beside easy ones; t_m is short because DOP853 has to
+    # resolve 1/gamma_tl = 1e-4 ns
+    "stiff-corner": (Ax("gamma_tl", 1.0, 1e4, 3), Ax("alpha_sq", 2.0, 2.0, 1),
+                     make_params(), DriveSpec.exponential(1.0, OMEGA, 8.0), 0.4),
+    "swept-sigma": (Ax("sigma", 0.7, 2.8, 3), Ax("gamma_tl", 0.5, 2.0, 2),
+                    make_params(gamma_rel=0.2), DriveSpec.gaussian(1.0, OMEGA, 1.0), 20.0),
+    "swept-t_m": (Ax("t_m", 2.0, 12.0, 3, scale="linear"), Ax("gamma_tl", 0.5, 2.0, 2),
+                  make_params(), DriveSpec.gaussian(1.0, OMEGA, 1.0), 30.0),
+}
+
+
+def stacked_spec(name):
+    axis1, axis2, params, drive, t_m = STACKED_GRIDS[name]
+    return sweep.SweepSpec(axis1=axis1, axis2=axis2, params=params, drive=drive, t_m=t_m)
+
+
+class TestStackedPulses:
+    """The pulse cells of a pm_at_tm sweep share one LSODA call per envelope."""
+
+    @pytest.mark.parametrize("name", list(STACKED_GRIDS))
+    def test_cells_match_one_cell_integrate_and_dop853(self, name, dop853_pulse):
+        # LSODA's max-norm error test holds every cell to the tolerance, so
+        # no cell can hide its error behind the others
+        spec = stacked_spec(name)
+        res = sweep.run_sweep(spec)
+        assert res.errors == ()
+        for idx in np.ndindex(res.values.shape):
+            params, drive, t_m = cell_inputs(spec, res, idx)
+            alone = sweep._pm_at(params, drive, t_m)
+            ref = dop853_pulse(params, drive, np.array([0.0, t_m]))[3, -1]
+            assert abs(res.values[idx] - alone) < 1e-8
+            assert abs(res.values[idx] - ref) < 1e-8
+
+    def test_one_call_per_envelope(self, monkeypatch):
+        calls = []
+        integrate_pulses = meanfield.integrate_pulses
+
+        def spy(cells, *args):
+            calls.append(len(cells))
+            return integrate_pulses(cells, *args)
+
+        monkeypatch.setattr(meanfield, "integrate_pulses", spy)
+        sweep.run_sweep(stacked_spec("gauss-relaxation"))
+        assert calls == [6]
+        calls.clear()
+        sweep.run_sweep(stacked_spec("swept-sigma"))
+        assert calls == [2, 2, 2]
+
+    @pytest.mark.parametrize("fault", ["call-fails", "cell-breaks-invariant"])
+    def test_fallback_gives_the_same_result(self, monkeypatch, fault):
+        # the gamma_0 > 0 cells fail on their own; the others must come out
+        # of the one-cell fallback as they come out of the stacked call
+        spec = sweep.SweepSpec(
+            axis1=Ax("gamma_0", 0.0, 0.1, 2, scale="linear"), axis2=Ax("gamma_tl", 0.5, 2.0, 3),
+            params=make_params(), drive=DriveSpec.gaussian(1.0, OMEGA, 1.0), t_m=15.0)
+        expected = sweep.run_sweep(spec)
+        integrate_pulses = meanfield.integrate_pulses
+
+        def faulty(cells, *args):
+            if len(cells) == 1:  # one-cell calls, from integrate, are left alone
+                return integrate_pulses(cells, *args)
+            if fault == "call-fails":
+                raise meanfield.IntegrationError("injected", 0.0)
+            t_eval, y = integrate_pulses(cells, *args)
+            y[1, 3, -1] = np.nan
+            return t_eval, y
+
+        monkeypatch.setattr(meanfield, "integrate_pulses", faulty)
+        res = sweep.run_sweep(spec)
+        assert res.errors == expected.errors == ((1, 0), (1, 1), (1, 2))
+        assert json.loads(res.to_json())["failed_cells"] == [[1, 0], [1, 1], [1, 2]]
+        np.testing.assert_allclose(res.values, expected.values, rtol=0, atol=1e-8)
+
+
 class TestExports:
     def _small_result(self):
         spec = sweep.SweepSpec(
@@ -203,6 +300,25 @@ class TestExports:
         assert data["objective"] == "eta"
         assert len(data["values"]) == 3
         assert data["failed_cells"] == []
+
+
+    def test_json_failed_cell_is_null(self):
+        # with gamma_1 = gamma_rel = 0, eta has no value at gamma_tl = 0
+        spec = sweep.SweepSpec(
+            axis1=sweep.SweepAxis("gamma_tl", 0.0, 1.0, 3, scale="linear"),
+            params=make_params(gamma_1=0.0, gamma_res=50.0),
+            drive=DriveSpec.continuous(0.0, OMEGA),
+            objective="eta",
+        )
+        res = sweep.run_sweep(spec)
+
+        def reject_constant(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        data = json.loads(res.to_json(), parse_constant=reject_constant)
+        assert data["failed_cells"] == [[0]]
+        assert data["values"][0] is None
+        assert data["values"][1:] == res.values[1:].tolist()
 
 
 class TestOptimizer:
