@@ -28,15 +28,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
-from scipy.linalg import expm
-
 # Pulses go through odeint, which runs the same LSODA: in scipy 1.17.1,
 # solve_ivp(method="LSODA") never frees its LSODA work arrays (over 100 bytes
 # per state component and call), so memory grows with every stacked sweep.
 # solve_ivp stays importable as meanfield.solve_ivp, the name the benchmark's
 # tracer (perfbench/spans.py) wraps.
-from scipy.integrate import solve_ivp  # noqa: E402,F401
+from scipy.integrate import ODEintWarning, odeint, solve_ivp  # noqa: F401
+from scipy.linalg import expm
 
 from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int
 from .pulses import envelope_for
@@ -246,6 +244,8 @@ def integrate_pulses(
     if t_eval is None:
         tail = max(PULSE_TAIL_FACTOR / p.gamma_1 if p.gamma_1 > 0 else 0.0 for p, _ in cells)
         t_eval = np.linspace(0.0, env.t_end + tail, n_samples)
+    elif len(t_eval) < 2 or t_eval[0] != 0.0 or not np.all(np.diff(t_eval) > 0):
+        raise ValueError("t_eval must increase from 0 and hold at least two times")
 
     n = len(cells)
     gens = [generator(params) for params, _ in cells]

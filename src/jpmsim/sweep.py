@@ -201,7 +201,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             drive = replace(spec.drive, **cell["drive"]) if cell["drive"] else spec.drive
             t_m = cell["t_m"].get("t_m", spec.t_m)
             if stacked:
-                meanfield._check_preconditions(params, drive)  # keeps a bad cell out of its group
+                # a cell that fails alone is kept out of its group
+                meanfield.IntegratorConfig(t_end=t_m)
+                meanfield._check_preconditions(params, drive)
                 groups.setdefault(meanfield.envelope_key(drive), []).append(
                     (idx, params, drive, t_m))
             else:

@@ -252,6 +252,13 @@ class TestPulseLSODA:
         with pytest.raises(ValueError, match="one envelope"):
             meanfield.integrate_pulses(cells, np.array([0.0, 5.0]))
 
+    @pytest.mark.parametrize("t_eval", [[0.0], [1.0, 5.0], [0.0, 5.0, 5.0], [0.0, 5.0, 2.0],
+                                        [0.0, np.nan]])
+    def test_sample_grid_must_increase_from_zero(self, t_eval):
+        cells = [(make_params(), DriveSpec.gaussian(1.0, OMEGA, 1.0))]
+        with pytest.raises(ValueError, match="t_eval"):
+            meanfield.integrate_pulses(cells, np.array(t_eval))
+
 
 class TestGenerator:
     def test_lossless_matches_hand_written_matrix(self):

@@ -250,6 +250,18 @@ class TestStackedPulses:
         sweep.run_sweep(stacked_spec("swept-sigma"))
         assert calls == [2, 2, 2]
 
+    def test_non_positive_t_m_fails_its_cell(self):
+        # as a cell integrated alone does; the stacked grid must not take
+        # t = -5 or a second t = 0
+        spec = sweep.SweepSpec(
+            axis1=Ax("t_m", -5.0, 10.0, 4, scale="linear"), params=make_params(),
+            drive=DriveSpec.gaussian(1.0, OMEGA, 1.0), t_m=5.0)
+        res = sweep.run_sweep(spec)
+        assert res.errors == ((0,), (1,))
+        for i in (2, 3):
+            alone = sweep._pm_at(spec.params, spec.drive, res.axis1_values[i])
+            assert abs(res.values[i] - alone) < 1e-8
+
     @pytest.mark.parametrize("fault", ["call-fails", "cell-breaks-invariant"])
     def test_fallback_gives_the_same_result(self, monkeypatch, fault):
         # the gamma_0 > 0 cells fail on their own; the others must come out
@@ -300,7 +312,6 @@ class TestExports:
         assert data["objective"] == "eta"
         assert len(data["values"]) == 3
         assert data["failed_cells"] == []
-
 
     def test_json_failed_cell_is_null(self):
         # with gamma_1 = gamma_rel = 0, eta has no value at gamma_tl = 0
