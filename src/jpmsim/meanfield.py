@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
 # Pulses go through odeint, which runs the same LSODA: in scipy 1.17.1,
 # solve_ivp(method="LSODA") never frees its LSODA work arrays (over 100 bytes
 # per state component and call), so memory grows with every stacked sweep.
