@@ -30,10 +30,11 @@ from typing import Sequence
 import numpy as np
 
 # Pulses go through odeint, which runs the same LSODA: in scipy 1.17.1,
-# solve_ivp(method="LSODA") never frees its LSODA work arrays (over 100 bytes
-# per state component and call), so memory grows with every stacked sweep.
-# solve_ivp stays importable as meanfield.solve_ivp, the name the benchmark's
-# tracer (perfbench/spans.py) wraps.
+# solve_ivp(method="LSODA") takes a reference to its LSODA work arrays on
+# every step and never drops it, so each call leaks them (about 150 bytes per
+# state component with a banded Jacobian) and memory grows with every stacked
+# sweep. solve_ivp stays importable as meanfield.solve_ivp, the name the
+# benchmark's tracer (perfbench/spans.py) wraps.
 from scipy.integrate import ODEintWarning, odeint, solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
@@ -198,20 +199,24 @@ def integrate(
     probability conservation are asserted at every sample; a breach raises
     InvariantViolation rather than being clipped.
     """
+    _check_preconditions(params, drive)
     if cfg is None:
         cfg = IntegratorConfig()
+    t_end = cfg.t_end
+    if t_end is None and drive.kind is DriveKind.CONTINUOUS:
+        t_end = 20.0 / params.gamma_tilde
+    elif t_end is None:
+        g1 = params.gamma_1
+        t_end = envelope_for(drive).t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
+    t_eval = np.linspace(0.0, t_end, cfg.n_samples)
+
     if drive.kind is DriveKind.CONTINUOUS:
-        _check_preconditions(params, drive)
-        t_end = cfg.t_end if cfg.t_end is not None else 20.0 / params.gamma_tilde
-        t_eval = np.linspace(0.0, t_end, cfg.n_samples)
         a0, b = generator(params)
         with np.errstate(invalid="ignore"):  # wr = inf gives NaN, which propagate reports
             gen = a0 + rabi_frequency(params, drive) * b
         y = propagate(gen, GROUND, t_eval)
     else:
-        t_eval = None if cfg.t_end is None else np.linspace(0.0, cfg.t_end, cfg.n_samples)
-        t_eval, ys = integrate_pulses([(params, drive)], t_eval, cfg.n_samples)
-        y = ys[0]
+        y = integrate_pulses([(params, drive)], t_eval)[0]
 
     traj = Trajectory(times=t_eval, v=y[0], p0=y[1], p1=y[2], pm=y[3],
                       drive=drive, params=params)
@@ -220,33 +225,25 @@ def integrate(
 
 
 def integrate_pulses(
-    cells: Sequence[tuple[DetectorParams, DriveSpec]],
-    t_eval: np.ndarray | None = None,
-    n_samples: int = 400,
-) -> tuple[np.ndarray, np.ndarray]:
+    cells: Sequence[tuple[DetectorParams, DriveSpec]], t_eval: np.ndarray
+) -> np.ndarray:
     """Integrate N pulse-driven cells from the ground state as one 4N-state
     system, y = (y_1, ..., y_N), with LSODA and the exact Jacobian.
 
     ``cells`` holds (params, drive) pairs whose drives share one envelope;
-    they may differ in alpha_sq and in every detector rate. ``t_eval`` is the
-    increasing sample grid from 0; with None it is ``n_samples`` uniform times
-    up to the end of the envelope's support plus PULSE_TAIL_FACTOR/gamma_1 of
-    the slowest cell. Returns ``(t_eval, y)`` with y of shape
-    (N, 4, len(t_eval)). The Jacobian is block diagonal, one block
-    A0_k + omega_R,k f(t) B per cell, and LSODA gets it as a band. A failed
-    step raises IntegrationError; the invariants are left to the caller.
+    they may differ in alpha_sq and in every detector rate, and each must
+    pass :func:`_check_preconditions` (the callers check). ``t_eval`` is the
+    increasing sample grid from 0. Returns y of shape (N, 4, len(t_eval)).
+    The Jacobian is block diagonal, one block A0_k + omega_R,k f(t) B per
+    cell, and LSODA gets it as a band. A failed step raises
+    IntegrationError; the invariants are left to the caller.
     """
     key = envelope_key(cells[0][1])
-    for params, drive in cells:
-        _check_preconditions(params, drive)
-        if envelope_key(drive) != key:
-            raise ValueError("stacked pulse cells must share one envelope")
-    env = envelope_for(cells[0][1])
-    if t_eval is None:
-        tail = max(PULSE_TAIL_FACTOR / p.gamma_1 if p.gamma_1 > 0 else 0.0 for p, _ in cells)
-        t_eval = np.linspace(0.0, env.t_end + tail, n_samples)
-    elif len(t_eval) < 2 or t_eval[0] != 0.0 or not np.all(np.diff(t_eval) > 0):
+    if any(envelope_key(drive) != key for _, drive in cells):
+        raise ValueError("stacked pulse cells must share one envelope")
+    if len(t_eval) < 2 or t_eval[0] != 0.0 or not np.all(np.diff(t_eval) > 0):
         raise ValueError("t_eval must increase from 0 and hold at least two times")
+    env = envelope_for(cells[0][1])
 
     n = len(cells)
     gens = [generator(params) for params, _ in cells]
@@ -285,7 +282,7 @@ def integrate_pulses(
     y = head[:, :k]
     if k < len(t_eval):
         y = np.hstack([y, solve(np.append(t_cut, t_eval[k:]), head[:, -1], 0.0)[:, 1:]])
-    return t_eval, y.reshape(n, 4, -1)
+    return y.reshape(n, 4, -1)
 
 
 def envelope_key(drive: DriveSpec) -> tuple:

@@ -160,7 +160,7 @@ def _pm_at_pulses(group: list, values: np.ndarray, errors: list) -> None:
     and its index goes to ``errors``."""
     t_eval = np.concatenate(([0.0], np.unique([t_m for *_, t_m in group])))
     try:
-        _, y = meanfield.integrate_pulses([(p, d) for _, p, d, _ in group], t_eval)
+        y = meanfield.integrate_pulses([(p, d) for _, p, d, _ in group], t_eval)
     except Exception:  # per-cell isolation below
         y = None
     for k, (idx, params, drive, t_m) in enumerate(group):
@@ -202,7 +202,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             t_m = cell["t_m"].get("t_m", spec.t_m)
             if stacked:
                 # a cell that fails alone is kept out of its group
-                meanfield.IntegratorConfig(t_end=t_m)
+                if not t_m > 0:
+                    raise ValueError(f"t_m must be > 0, got {t_m}")
                 meanfield._check_preconditions(params, drive)
                 groups.setdefault(meanfield.envelope_key(drive), []).append(
                     (idx, params, drive, t_m))

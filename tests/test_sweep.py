@@ -277,9 +277,9 @@ class TestStackedPulses:
                 return integrate_pulses(cells, *args)
             if fault == "call-fails":
                 raise meanfield.IntegrationError("injected", 0.0)
-            t_eval, y = integrate_pulses(cells, *args)
+            y = integrate_pulses(cells, *args)
             y[1, 3, -1] = np.nan
-            return t_eval, y
+            return y
 
         monkeypatch.setattr(meanfield, "integrate_pulses", faulty)
         res = sweep.run_sweep(spec)

@@ -6,11 +6,10 @@
 Runs the checkouts' own, unmodified ``perfbench/run.py`` untraced, one
 workload, in pairs: pair i runs both checkouts with seed first_seed + i, the
 parent first in even pairs and the change first in odd ones, so host drift
-hits both sides alike. Writes ``BENCH_<workload>.json`` (or ``--out``) with
-each side's median and quartiles per end-to-end metric, how many pairs the
-change won per metric (ties count for neither), the raw final JSON line of
-every run and the machine it ran on. The run length is BENCHMARK.json's
-``run_seconds`` of the change checkout unless ``--seconds`` is given.
+hits both sides alike. Every run lasts BENCHMARK.json's ``run_seconds``.
+Writes ``BENCH_<workload>.json`` with each side's median and quartiles per
+end-to-end metric, how many pairs the change won per metric (ties count for
+neither), the raw final JSON line of every run and the machine it ran on.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ def parse_args(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=None)
-    ap.add_argument("--out", type=Path, default=None)
     return ap.parse_args(argv)
 
 
@@ -102,7 +99,7 @@ def compare(runs: dict, metrics: list[dict]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.first_seed + i
@@ -134,7 +131,7 @@ def main(argv=None) -> int:
         "metrics": compare(runs, bench["end_to_end"]),
         "runs": runs,
     }
-    out = args.out or Path(f"BENCH_{args.workload}.json")
+    out = Path(f"BENCH_{args.workload}.json")
     out.write_text(json.dumps(report, indent=2) + "\n")
     for name, m in report["metrics"].items():
         print(f"{name}: parent {m['parent']['median']:.4g} -> change {m['change']['median']:.4g} "
