@@ -91,16 +91,10 @@ class DetectorParams:
     omega_0: float
 
     def __post_init__(self):
-        # checked inline rather than by a _require_finite call per rate:
-        # this runs for every cell of a rate sweep
         for name in ("gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res"):
-            value = getattr(self, name)
-            try:
-                ok = 0.0 <= value < math.inf  # False for NaN
-            except TypeError:  # None, a string or another non-number
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            _require_finite(name, getattr(self, name))
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         _require_finite("omega_0", self.omega_0)
         if self.omega_0 <= 0:
             raise ValueError(f"omega_0 must be > 0, got {self.omega_0}")

@@ -11,6 +11,10 @@ with b = (2/pi) gamma_tl / gamma_tilde and incoming photon flux N, that is
 d(p0, p1, pm)/dt = G p with the constant 3x3 matrix of :func:`generator`.
 A trajectory is propagated exactly with the matrix exponential of G.
 This model applies to continuous drive only.
+
+The stationary closed forms broadcast over array-valued rates, so a sweep
+evaluates its whole grid in one call. An element without a finite value is
+NaN there; with scalar rates the call raises ValueError instead.
 """
 
 from __future__ import annotations
@@ -32,12 +36,21 @@ def _require_flux(n_in) -> None:
         raise ValueError(f"n_in must be a finite number >= 0, got {n_in!r}")
 
 
+def _finite(x, message: str):
+    """``x`` with NaN in every element that is not finite, i.e. has no value.
+    A scalar that is not finite raises ValueError(message) instead."""
+    if isinstance(x, np.ndarray):
+        return np.where(np.isfinite(x), x, np.nan)
+    if not math.isfinite(x):
+        raise ValueError(message)
+    return x
+
+
+@np.errstate(all="ignore")
 def beta_coupling(params: DetectorParams) -> float:
     """Excitation efficiency b = (2/pi) gamma_tl / gamma_tilde (< 1)."""
-    gt = params.gamma_tilde
-    if gt == 0:
-        raise ValueError("gamma_tilde = 0: no decay channels defined")
-    return (2.0 / np.pi) * params.gamma_tl / gt
+    b = np.divide((2.0 / np.pi) * params.gamma_tl, params.gamma_tilde)
+    return _finite(b, "gamma_tilde = 0: no decay channels defined")
 
 
 def generator(params: DetectorParams, n_in: float) -> np.ndarray:
@@ -100,12 +113,9 @@ def closed_form_p1_pm(params: DetectorParams, alpha_sq: float, t):
         raise ValueError("closed form requires gamma_res = 0; use steady_state otherwise")
     if params.gamma_0 != 0.0:
         raise ValueError("closed form requires gamma_0 = 0")
-    gt = params.gamma_tilde
-    if gt == 0:
-        raise ValueError("gamma_tilde = 0: decay constants undefined")
     t = np.asarray(t, dtype=float)
-    w = closed_form_drive_rate(params, alpha_sq)
-    b = w + 0.5 * gt
+    w = closed_form_drive_rate(params, alpha_sq)  # raises for gamma_tilde = 0
+    b = w + 0.5 * params.gamma_tilde
     g = np.sqrt(b * b - w * params.gamma_1)
     if w == 0.0:
         zero = np.zeros_like(t)
@@ -120,6 +130,7 @@ def closed_form_p1_pm(params: DetectorParams, alpha_sq: float, t):
     return p1, pm
 
 
+@np.errstate(all="ignore")
 def steady_state(params: DetectorParams, n_in: float):
     """Stationary (p0, p1, pm) of the rate equations; needs gamma_res > 0.
 
@@ -127,20 +138,19 @@ def steady_state(params: DetectorParams, n_in: float):
     p1 = c p0 with c = bN / (bN + gamma_tl + gamma_1 + gamma_rel) and
     pm = (gamma_0 + gamma_1 c) p0 / gamma_res, closed by normalization.
     """
-    if params.gamma_res <= 0.0:
-        raise ValueError(
-            "stationary formulas require gamma_res > 0; "
-            "for gamma_res = 0 use closed_form_p1_pm"
-        )
     _require_flux(n_in)
-    bn = beta_coupling(params) * n_in
-    c = bn / (bn + params.gamma_tl + params.gamma_1 + params.gamma_rel)
-    reset = (params.gamma_0 + params.gamma_1 * c) / params.gamma_res
+    p = params
+    bn = beta_coupling(p) * n_in
+    c = np.divide(bn, bn + p.gamma_tl + p.gamma_1 + p.gamma_rel)
+    # without reset there is no stationary state: NaN, not the pm = 1 of 1/0
+    reset = (p.gamma_0 + p.gamma_1 * c) / np.where(p.gamma_res > 0, p.gamma_res, np.nan)
     p0 = 1.0 / (1.0 + c + reset)
     p1 = c * p0
-    return p0, p1, 1.0 - p0 - p1
+    return p0, p1, _finite(1.0 - p0 - p1, "stationary formulas require gamma_res > 0 and "
+                           "gamma_tl + gamma_1 + gamma_rel > 0")
 
 
+@np.errstate(all="ignore")
 def efficiency(params: DetectorParams) -> float:
     """Low-excitation detection efficiency.
 
@@ -151,23 +161,11 @@ def efficiency(params: DetectorParams) -> float:
     reported unclamped.
     """
     p = params
-    denom = (
-        (p.gamma_tl + p.gamma_1 + p.gamma_rel)
-        * (p.gamma_tl + p.gamma_1 + p.gamma_0 + p.gamma_rel)
-        * (p.gamma_0 + p.gamma_res) ** 2
-    )
-    if denom == 0:
-        raise ValueError("efficiency undefined: zero denominator")
-    num = (
-        4.0
-        * p.gamma_tl
-        * p.gamma_res
-        * (
-            p.gamma_1 * (p.gamma_0 + p.gamma_res)
-            + p.gamma_0 * (p.gamma_1 + p.gamma_res)
-        )
-    )
-    return num / denom
+    s = p.gamma_0 + p.gamma_res
+    num = 4.0 * p.gamma_tl * p.gamma_res * (p.gamma_1 * s + p.gamma_0 * (p.gamma_1 + p.gamma_res))
+    denom = (p.gamma_tl + p.gamma_1 + p.gamma_rel) * (
+        p.gamma_tl + p.gamma_1 + p.gamma_0 + p.gamma_rel) * (s * s)
+    return _finite(np.divide(num, denom), "efficiency undefined: zero denominator or not finite")
 
 
 def efficiency_finite_flux(params: DetectorParams, n_in: float) -> float:
@@ -191,9 +189,10 @@ def matching_gamma_tl(params: DetectorParams) -> float:
     """Coupling rate maximizing the efficiency (general matching condition):
     sqrt((gamma_1 + gamma_rel)(gamma_1 + gamma_rel + gamma_0))."""
     a = params.gamma_1 + params.gamma_rel
-    return math.sqrt(a * (a + params.gamma_0))
+    return np.sqrt(a * (a + params.gamma_0))
 
 
+@np.errstate(all="ignore")
 def eta_max(params: DetectorParams) -> float:
     """Efficiency at the matching point in the fast-reset regime
     (gamma_res >= ~10 gamma_1):
@@ -202,28 +201,28 @@ def eta_max(params: DetectorParams) -> float:
     """
     p = params
     a = p.gamma_1 + p.gamma_rel
-    denom = p.gamma_0 + 2.0 * (a + math.sqrt(a * (p.gamma_0 + a)))
-    if denom == 0:
-        raise ValueError("eta_max undefined: all rates zero")
-    return 4.0 * (p.gamma_0 + p.gamma_1) / denom
+    denom = p.gamma_0 + 2.0 * (a + np.sqrt(a * (p.gamma_0 + a)))
+    eta = np.divide(4.0 * (p.gamma_0 + p.gamma_1), denom)
+    return _finite(eta, "eta_max undefined: all rates zero")
 
 
+@np.errstate(all="ignore")
 def _efficiency_fast_reset(params: DetectorParams) -> float:
     # gamma_res -> infinity limit of efficiency(); removes the reset dependence
     p = params
     denom = (p.gamma_tl + p.gamma_1 + p.gamma_rel) * (
-        p.gamma_tl + p.gamma_1 + p.gamma_0 + p.gamma_rel
-    )
-    if denom == 0:
-        raise ValueError("efficiency undefined: zero denominator")
-    return 4.0 * p.gamma_tl * (p.gamma_0 + p.gamma_1) / denom
+        p.gamma_tl + p.gamma_1 + p.gamma_0 + p.gamma_rel)
+    eta = np.divide(4.0 * p.gamma_tl * (p.gamma_0 + p.gamma_1), denom)
+    return _finite(eta, "efficiency undefined: zero denominator or not finite")
 
 
+@np.errstate(all="ignore")
 def eta_loss(params: DetectorParams) -> float:
     """Coupling-loss efficiency: the fast-reset efficiency divided by the
     detector efficiency eta_max. Equals 1 at the matching point when
     gamma_0 = gamma_rel = 0."""
-    return _efficiency_fast_reset(params) / eta_max(params)
+    loss = np.divide(_efficiency_fast_reset(params), eta_max(params))
+    return _finite(loss, "eta_loss undefined: eta_max = 0 (gamma_0 = gamma_1 = 0)")
 
 
 def count_rates(params: DetectorParams, n_in: float):
@@ -308,5 +307,5 @@ def build_report(params: DetectorParams, n_in: float = 0.0) -> EfficiencyReport:
         gamma_dark=dark,
         gamma_bright=bright,
         nep=nep(params),
-        eta_above_unity=eta > 1.0,
+        eta_above_unity=bool(eta > 1.0),
     )

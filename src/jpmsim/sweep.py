@@ -1,18 +1,21 @@
 """Parameter sweeps (1D/2D) and 1D maximization of the figure-of-merit.
 
-The pm_at_tm cells of a pulse drive are integrated together: all cells that
-share one envelope go into one stacked :func:`meanfield.integrate_pulses`
-call. Rate objectives and continuous-drive cells run serially in row-major
-order, one cell after another; a thread pool does not help there, because
-each cell holds the interpreter lock, and threads measured slower than the
-serial loop. Failures are isolated per cell so a stiff corner cannot kill a
-whole run: a stacked call that fails, or a cell of it that breaks an
-invariant, falls back to integrating each of its cells alone. Rate-like axes
-default to log scale since the interesting structure spans decades.
+A rate objective is evaluated on the whole grid in one call of the rate
+closed forms, which broadcast over array-valued rates. The pm_at_tm cells of
+a pulse drive are integrated together: all cells that share one envelope go
+into one stacked :func:`meanfield.integrate_pulses` call. Continuous-drive
+cells run one after another; a thread pool measured slower, because each
+cell holds the interpreter lock. Failures are isolated per cell so a stiff
+corner cannot kill a whole run: a stacked call that fails, or a cell of it
+that breaks an invariant, is retried in halves down to single cells, and a
+cell without a finite value is reported failed. Rate-like axes default to
+log scale since the interesting structure spans decades.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
 import math
 from dataclasses import dataclass, replace
@@ -139,64 +142,76 @@ class SweepResult:
         return strict_json(data, indent)
 
 
-def _evaluate_cell(spec: SweepSpec, params: DetectorParams, drive: DriveSpec, t_m) -> float:
-    if spec.objective == "pm_at_tm":
-        return _pm_at(params, drive, t_m)
+def _rate_values(spec: SweepSpec, axes: list, grids: list) -> np.ndarray:
+    """The rate objective on the whole grid in one broadcast call. Whether a
+    cell's detector and drive can be built depends on each swept value
+    alone, so each value is checked once; a cell with one that fails is NaN."""
+    mesh = np.meshgrid(*grids, indexing="ij")
+    rates = {name: np.full(mesh[0].shape, getattr(spec.params, name))
+             for name, target in PARAM_TARGETS.items() if target == "params"}
+    built = np.ones(mesh[0].shape, dtype=bool)
+    # the last axis of a name sets it, as in one cell's replace()
+    for name, k in {ax.name: k for k, ax in enumerate(axes)}.items():
+        target = PARAM_TARGETS[name]
+        if target == "params":
+            rates[name] = mesh[k]
+        if target != "t_m":  # t_m does not enter a rate objective
+            base = spec.params if target == "params" else spec.drive
+            ok = [_builds(base, name, v) for v in grids[k]]
+            built &= np.reshape(ok, [-1 if i == k else 1 for i in range(len(axes))])
+    # each value is checked above, so the array-valued copy skips the checks
+    # of DetectorParams.__post_init__, which take scalars
+    params = copy.copy(spec.params)
+    params.__dict__.update(rates)
     if spec.objective == "steady_pm":
-        _, _, pm = rate.steady_state(params, spec.n_in)
-        return float(pm)
-    if spec.objective == "eta":
-        return rate.efficiency(params)
-    if spec.objective == "eta_finite_n":
-        return rate.efficiency_finite_flux(params, spec.n_in)
-    raise AssertionError(spec.objective)
+        values = rate.steady_state(params, spec.n_in)[2]
+    elif spec.objective == "eta":
+        values = rate.efficiency(params)
+    else:
+        values = rate.efficiency_finite_flux(params, spec.n_in)
+    return np.where(built, values, np.nan)
 
 
-def _pm_at_pulses(group: list, values: np.ndarray, errors: list) -> None:
+def _builds(base, name: str, value) -> bool:
+    try:
+        replace(base, **{name: value})
+    except ValueError:
+        return False
+    return True
+
+
+def _pm_at_pulses(group: list, values: np.ndarray) -> None:
     """pm_at_tm of pulse cells (idx, params, drive, t_m) that share one
-    envelope, in one stacked integration up to the largest t_m. A cell is
-    integrated alone instead if the stacked call fails or its stacked
-    trajectory breaks an invariant; a cell that fails alone too is left NaN
-    and its index goes to ``errors``."""
+    envelope, in one stacked integration up to the largest t_m. If the call
+    fails, or a cell of it breaks an invariant, each half of the group is
+    tried again the same way, so one failing cell costs about 2 log2(N)
+    calls, not N. A single cell that fails is left NaN; its call is the one
+    :func:`meanfield.integrate` makes for it alone."""
     t_eval = np.concatenate(([0.0], np.unique([t_m for *_, t_m in group])))
     try:
         y = meanfield.integrate_pulses([(p, d) for _, p, d, _ in group], t_eval)
-    except Exception:  # per-cell isolation below
-        y = None
-    for k, (idx, params, drive, t_m) in enumerate(group):
-        if y is not None:
-            traj = meanfield.Trajectory(t_eval, *y[k], drive=drive, params=params)
-            try:
-                meanfield._check_invariants(traj)
-                values[idx] = traj.pm[np.searchsorted(t_eval, t_m)]
-                continue
-            except meanfield.InvariantViolation:
-                pass
-        try:
-            values[idx] = _pm_at(params, drive, t_m)
-        except Exception:  # per-cell isolation
-            errors.append(idx)
+        for (_, params, drive, _), y_k in zip(group, y):
+            meanfield._check_invariants(meanfield.Trajectory(t_eval, *y_k, drive, params))
+    except Exception:  # isolated by halving
+        if len(group) > 1:
+            _pm_at_pulses(group[:len(group) // 2], values)
+            _pm_at_pulses(group[len(group) // 2:], values)
+        return
+    for (idx, *_, t_m), y_k in zip(group, y):
+        values[idx] = y_k[3, np.searchsorted(t_eval, t_m)]
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the objective on the dense grid.
-
-    The pm_at_tm cells of a pulse drive are integrated in one stacked call
-    per envelope (one in all unless ``sigma`` or ``kappa`` is swept); every
-    other cell is evaluated on its own. Deterministic for a given spec;
-    per-cell failures become NaN and are listed in the result.
-    """
-    axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
-    grids = [ax.grid() for ax in axes]
+def _pm_values(spec: SweepSpec, axes: list, grids: list) -> np.ndarray:
+    """pm_at_tm cell by cell; the cells of a pulse drive are gathered by
+    envelope and integrated stacked. A cell that fails is NaN."""
     values = np.full([g.size for g in grids], np.nan)
-    errors = []
-    stacked = spec.objective == "pm_at_tm" and spec.drive.kind is not DriveKind.CONTINUOUS
+    stacked = spec.drive.kind is not DriveKind.CONTINUOUS
     groups = {}  # envelope key -> pulse cells that share it
     for idx in np.ndindex(values.shape):
         cell = {"params": {}, "drive": {}, "t_m": {}}  # the swept fields by target
         for ax, g, i in zip(axes, grids, idx):
             cell[PARAM_TARGETS[ax.name]][ax.name] = g[i]
-        try:
+        with contextlib.suppress(Exception):  # per-cell isolation
             params = replace(spec.params, **cell["params"]) if cell["params"] else spec.params
             drive = replace(spec.drive, **cell["drive"]) if cell["drive"] else spec.drive
             t_m = cell["t_m"].get("t_m", spec.t_m)
@@ -208,18 +223,33 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 groups.setdefault(meanfield.envelope_key(drive), []).append(
                     (idx, params, drive, t_m))
             else:
-                values[idx] = _evaluate_cell(spec, params, drive, t_m)
-        except Exception:  # per-cell isolation
-            errors.append(idx)
+                values[idx] = _pm_at(params, drive, t_m)
     for group in groups.values():
-        _pm_at_pulses(group, values, errors)
+        _pm_at_pulses(group, values)
+    return values
 
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the objective on the dense grid.
+
+    A rate objective is evaluated on the whole grid in one broadcast call.
+    The pm_at_tm cells of a pulse drive are integrated in one stacked call
+    per envelope (one in all unless ``sigma`` or ``kappa`` is swept); a
+    continuous-drive cell is integrated on its own. Deterministic for a
+    given spec; every cell without a finite value is NaN and listed in the
+    result.
+    """
+    axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
+    grids = [ax.grid() for ax in axes]
+    values = (_pm_values if spec.objective == "pm_at_tm" else _rate_values)(spec, axes, grids)
+    failed = ~np.isfinite(values)
+    values[failed] = np.nan
     return SweepResult(
         spec=spec,
         axis1_values=grids[0],
         axis2_values=grids[1] if spec.axis2 is not None else None,
         values=values,
-        errors=tuple(sorted(errors)),
+        errors=tuple(map(tuple, np.argwhere(failed).tolist())),
     )
 
 

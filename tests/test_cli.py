@@ -323,6 +323,9 @@ NUMERICAL = {"keeps growing", "collides"}
     (["analytic", "--mode", "exp-steady", "--alpha-sq", "nan", "--kappa", "1"], None, "alpha_sq"),
     (["analytic", "--mode", "exp-steady", "--alpha-sq", "-0.1", "--kappa", "1"], None, "alpha_sq"),
     (["analytic", "--mode", "poles", "--alpha-sq", "-1"], None, "alpha_sq"),
+    (["efficiency", "--gamma-res", "1e200", "--gamma-0", "0.01"], None, "not finite"),
+    (["nep", "--gamma-res", "1e200", "--gamma-0", "0.01"], None, "not finite"),
+    (["efficiency", "--gamma-1", "0", "--gamma-rel", "1"], None, "eta_max = 0"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
     monkeypatch.chdir(tmp_path)

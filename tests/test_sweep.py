@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +288,140 @@ class TestStackedPulses:
         assert res.errors == expected.errors == ((1, 0), (1, 1), (1, 2))
         assert json.loads(res.to_json())["failed_cells"] == [[1, 0], [1, 1], [1, 2]]
         np.testing.assert_allclose(res.values, expected.values, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("bad", [0, 5, 15])
+    def test_failed_call_is_halved(self, monkeypatch, bad):
+        # one cell that breaks every stacked call it is in: the halves
+        # around it are integrated stacked, not cell by cell
+        spec = sweep.SweepSpec(axis1=Ax("alpha_sq", 0.05, 5.0, 16), params=make_params(),
+                               drive=DriveSpec.gaussian(1.0, OMEGA, 1.0), t_m=15.0)
+        expected = sweep.run_sweep(spec)
+        bad_alpha_sq = expected.axis1_values[bad]
+        integrate_pulses = meanfield.integrate_pulses
+        calls = []
+
+        def faulty(cells, *args):
+            calls.append(len(cells))
+            if any(d.alpha_sq == bad_alpha_sq for _, d in cells):
+                raise meanfield.IntegrationError("injected", 0.0)
+            return integrate_pulses(cells, *args)
+
+        monkeypatch.setattr(meanfield, "integrate_pulses", faulty)
+        res = sweep.run_sweep(spec)
+        assert res.errors == ((bad,),)
+        assert len(calls) <= 2 * math.log2(16) + 1 < 16
+        keep = np.arange(16) != bad
+        np.testing.assert_allclose(res.values[keep], expected.values[keep], rtol=0, atol=1e-8)
+
+
+def seeded_params(seed, **kw):
+    """Base rates drawn from ``seed``; ``kw`` pins some of them."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.05, 2.0, size=5)
+    return make_params(**{"gamma_tl": g[0], "gamma_0": 0.05 * g[1], "gamma_1": g[2],
+                          "gamma_rel": 0.1 * g[3], "gamma_res": 10.0 * g[4], **kw})
+
+
+def rate_cell(objective, params, n_in):
+    """One cell of a rate objective from the scalar rate functions."""
+    if objective == "eta":
+        return rate.efficiency(params)
+    if objective == "steady_pm":
+        return rate.steady_state(params, n_in)[2]
+    return rate.efficiency_finite_flux(params, n_in)
+
+
+def per_cell_sweep(spec):
+    """The reference for the broadcast rate path: each cell's detector and
+    drive built by replace(), its value from the scalar function, and a cell
+    failed where either raises."""
+    axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
+    grids = [ax.grid() for ax in axes]
+    ref = sweep.SweepResult(spec, grids[0], grids[1] if spec.axis2 else None,
+                            np.full([g.size for g in grids], np.nan), ())
+    failed = []
+    for idx in np.ndindex(ref.values.shape):
+        try:
+            params, _, _ = cell_inputs(spec, ref, idx)
+            ref.values[idx] = rate_cell(spec.objective, params, spec.n_in)
+        except ValueError:
+            failed.append(idx)
+    return replace(ref, errors=tuple(failed))
+
+
+Lin = dict(scale="linear")
+#: name -> (axis1, axis2 or None, pinned base rates, drive or None for continuous)
+RATE_GRIDS = {
+    "gamma_tilde-0-corner": (Ax("gamma_tl", 0.0, 2.0, 5, **Lin), Ax("gamma_1", 0.0, 1.5, 4, **Lin),
+                             dict(gamma_0=0.0, gamma_rel=0.0), None),
+    "gamma_res-through-0": (Ax("gamma_res", -2.0, 4.0, 7, **Lin), Ax("gamma_tl", 0.01, 100.0, 6),
+                            {}, None),
+    "rates-below-0": (Ax("gamma_tl", -1.0, 1.0, 5, **Lin), Ax("gamma_0", -0.1, 0.1, 5, **Lin),
+                      {}, None),
+    "alpha_sq-below-0": (Ax("alpha_sq", -1.0, 1.0, 5, **Lin), Ax("gamma_tl", 0.1, 10.0, 4),
+                         {}, None),
+    "t_m-below-0": (Ax("t_m", -5.0, 5.0, 3, **Lin), Ax("gamma_0", -0.1, 0.2, 4, **Lin), {}, None),
+    "kappa-below-0": (Ax("kappa", -1.0, 2.0, 4, **Lin), Ax("gamma_res", 0.0, 3.0, 4, **Lin), {},
+                      DriveSpec.exponential(0.5, OMEGA, 1.0)),
+    "one-axis": (Ax("gamma_1", -0.5, 2.0, 6, **Lin), None, dict(gamma_rel=0.0, gamma_0=0.0), None),
+    "unswept-rates": (Ax("alpha_sq", -1.0, 1.0, 3, **Lin), None, dict(gamma_res=0.0), None),
+    # the later axis of a name sets it, as in one cell's replace()
+    "same-name-twice": (Ax("gamma_tl", -1.0, 1.0, 3, **Lin), Ax("gamma_tl", 0.5, 2.0, 3), {}, None),
+    "overflow": (Ax("gamma_res", -1.0, 1e200, 6, **Lin), Ax("gamma_tl", 1.0, 1e200, 3), {}, None),
+}
+
+
+def rate_spec(name, objective, seed):
+    axis1, axis2, pinned, drive = RATE_GRIDS[name]
+    return sweep.SweepSpec(axis1=axis1, axis2=axis2, params=seeded_params(seed, **pinned),
+                           drive=drive or DriveSpec.continuous(0.0, OMEGA),
+                           objective=objective, n_in=0.3)
+
+
+class TestRateBroadcast:
+    """A rate objective runs as one broadcast call over the whole grid."""
+
+    @pytest.mark.parametrize("objective", ["eta", "steady_pm", "eta_finite_n"])
+    @pytest.mark.parametrize("name", list(RATE_GRIDS))
+    def test_output_is_byte_identical_to_per_cell(self, name, objective, tmp_path):
+        for seed in (1, 2, 3):
+            spec = rate_spec(name, objective, seed)
+            res, ref = sweep.run_sweep(spec), per_cell_sweep(spec)
+            # each grid has failing cells, except where the later axis hides them
+            assert bool(res.errors) == (name != "same-name-twice")
+            assert res.to_json() == ref.to_json()
+            res.to_csv(tmp_path / "res.csv")
+            ref.to_csv(tmp_path / "ref.csv")
+            assert (tmp_path / "res.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_non_finite_cells_are_failed(self):
+        # gamma_res of 2.5e199 and more overflows eta's denominator: those
+        # cells have no value and are listed, like the negative gamma_res cell
+        spec = sweep.SweepSpec(axis1=Ax("gamma_res", -1.0, 1e200, 5, **Lin),
+                               axis2=Ax("gamma_tl", 0.5, 2.0, 2),
+                               params=make_params(gamma_0=0.01),
+                               drive=DriveSpec.continuous(0.0, OMEGA), objective="eta")
+        with warnings.catch_warnings():
+            # as outside the test suite, where a RuntimeWarning does not raise
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = sweep.run_sweep(spec)
+        assert res.errors == tuple((i, j) for i in range(5) for j in range(2))
+        assert np.all(np.isnan(res.values))
+        assert all(type(i) is int for cell in res.errors for i in cell)
+        assert json.loads(res.to_json())["failed_cells"] == [list(c) for c in res.errors]
+
+    def test_checks_each_axis_value_once(self, monkeypatch):
+        spec = rate_spec("rates-below-0", "eta", 1)
+        built = []
+        params_init = DetectorParams.__post_init__
+
+        def spy(self):
+            built.append(self)
+            params_init(self)
+
+        monkeypatch.setattr(DetectorParams, "__post_init__", spy)
+        sweep.run_sweep(spec)
+        assert len(built) == 5 + 5
 
 
 class TestExports:
