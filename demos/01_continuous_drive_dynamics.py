@@ -12,7 +12,7 @@ import numpy as np
 from jpmsim import DetectorParams, DriveSpec, IntegratorConfig, integrate
 from jpmsim.analytic import continuous_pm_poles
 from jpmsim.core import omega_from_ghz
-from jpmsim.meanfield import rabi_frequency, reflection_series
+from jpmsim.meanfield import rabi_frequency
 
 # Rates in 1/ns; the carrier at 5 GHz enters as an angular frequency.
 params = DetectorParams(
@@ -29,7 +29,7 @@ drive = DriveSpec.continuous(alpha_sq, params.omega_0)
 print(f"Rabi frequency: {rabi_frequency(params, drive):.4f} /ns")
 
 traj = integrate(params, drive, IntegratorConfig(t_end=10.0, n_samples=11))
-refl = reflection_series(traj)
+refl = traj.reflection()
 print("\n  t [ns]      p0        p1        pm        R")
 for t, p0, p1, pm, r in zip(traj.times, traj.p0, traj.p1, traj.pm, refl):
     print(f"  {t:6.1f}  {p0:8.5f}  {p1:8.5f}  {pm:8.5f}  {r:+8.5f}")

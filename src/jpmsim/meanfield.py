@@ -107,7 +107,8 @@ class Trajectory:
     params: DetectorParams
 
     def reflection(self) -> np.ndarray:
-        return reflection_series(self)
+        """Reflection coefficient R(t) at every sample."""
+        return reflection_coefficient(self.params, self.p0, self.p1)
 
     def to_csv(self, path) -> None:
         """Write t,v,p0,p1,pm,R columns (ns and dimensionless)."""
@@ -204,6 +205,8 @@ def integrate(
         cfg = IntegratorConfig()
     t_end = cfg.t_end
     if t_end is None and drive.kind is DriveKind.CONTINUOUS:
+        if params.gamma_tilde == 0:
+            raise ValueError("gamma_tilde = 0: no default t_end (20 / gamma_tilde); pass t_end")
         t_end = 20.0 / params.gamma_tilde
     elif t_end is None:
         g1 = params.gamma_1
@@ -292,33 +295,30 @@ def envelope_key(drive: DriveSpec) -> tuple:
             drive.table_t, drive.table_f)
 
 
-def _check_invariants(traj: Trajectory, eps: float = SIMPLEX_EPS) -> None:
+def _check_invariants(traj: Trajectory) -> None:
     for arr, name in ((traj.p0, "p0"), (traj.p1, "p1"), (traj.pm, "pm")):
-        outside = ~((arr >= -eps) & (arr <= 1.0 + eps))  # NaN is outside too
+        outside = ~((arr >= -SIMPLEX_EPS) & (arr <= 1.0 + SIMPLEX_EPS))  # NaN is outside too
         if outside.any():
             i = int(np.argmax(outside))
             raise InvariantViolation(
-                f"{name} = {arr[i]} outside [-{eps}, 1+{eps}] at t = {traj.times[i]}"
+                f"{name} = {arr[i]} outside [0, 1] by > {SIMPLEX_EPS} at t = {traj.times[i]}"
             )
     total = traj.p0 + traj.p1 + traj.pm
-    if np.any(np.abs(total - 1.0) > eps):
+    if np.any(np.abs(total - 1.0) > SIMPLEX_EPS):
         i = int(np.argmax(np.abs(total - 1.0)))
         raise InvariantViolation(
             f"probability sum {total[i]} deviates from 1 at t = {traj.times[i]}"
         )
 
 
-def reflection_series(traj: Trajectory) -> np.ndarray:
-    """Pointwise reflection coefficient
-    R(t) = -1 + (2 gamma_tl / gamma_tilde) (p0 - p1).
+def reflection_coefficient(params: DetectorParams, p0, p1):
+    """Reflection coefficient for given occupations (scalar or array):
+    R = -1 + (2 gamma_tl / gamma_tilde) (p0 - p1).
 
     |R| > 1 is possible when p1 > p0 (amplification by emission).
     """
-    return reflection_coefficient(traj.params, traj.p0, traj.p1)
-
-
-def reflection_coefficient(params: DetectorParams, p0, p1):
-    """Reflection coefficient for given occupations (scalar or array)."""
+    if params.gamma_tilde == 0:
+        raise ValueError("gamma_tilde = 0: reflection coefficient undefined")
     return -1.0 + (2.0 * params.gamma_tl / params.gamma_tilde) * (
         np.asarray(p0) - np.asarray(p1)
     )

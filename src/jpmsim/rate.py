@@ -275,7 +275,7 @@ class EfficiencyReport:
     nep: float  # W/sqrt(Hz)
     eta_above_unity: bool
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         data = asdict(self)
         data["units"] = {
             "eta": "dimensionless",
@@ -286,7 +286,7 @@ class EfficiencyReport:
             "gamma_bright": "1/ns",
             "nep": "W/sqrt(Hz)",
         }
-        return strict_json(data, indent)
+        return strict_json(data, 2)
 
 
 def build_report(params: DetectorParams, n_in: float = 0.0) -> EfficiencyReport:

@@ -1,15 +1,17 @@
 """Parameter sweeps (1D/2D) and 1D maximization of the figure-of-merit.
 
-A rate objective is evaluated on the whole grid in one call of the rate
-closed forms, which broadcast over array-valued rates. The pm_at_tm cells of
-a pulse drive are integrated together: all cells that share one envelope go
-into one stacked :func:`meanfield.integrate_pulses` call. Continuous-drive
-cells run one after another; a thread pool measured slower, because each
-cell holds the interpreter lock. Failures are isolated per cell so a stiff
-corner cannot kill a whole run: a stacked call that fails, or a cell of it
-that breaks an invariant, is retried in halves down to single cells, and a
-cell without a finite value is reported failed. Rate-like axes default to
-log scale since the interesting structure spans decades.
+Every objective shares one grid model: each swept value is checked once,
+which gives a mask of the cells that can be built beside the mesh of swept
+values. A rate objective is evaluated on the whole mesh in one call of the
+rate closed forms, which broadcast over array-valued rates. The pm_at_tm
+cells of a pulse drive that share one envelope go into one stacked
+:func:`meanfield.integrate_pulses` call. Continuous-drive cells run one
+after another; a thread pool measured slower, because each cell holds the
+interpreter lock. Failures are isolated per cell so a stiff corner cannot
+kill a whole run: a stacked call that fails, or a cell of it that breaks an
+invariant, is retried in halves down to single cells, and a cell without a
+finite value is reported failed. Rate-like axes default to log scale since
+the interesting structure spans decades.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -26,8 +29,8 @@ from scipy.optimize import minimize_scalar
 from . import meanfield, rate
 from .core import DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int, strict_json
 
-#: Each sweepable name and the object a cell sets it on: the detector
-#: parameters, the drive or the measurement time.
+#: Each sweepable name and the SweepSpec field a cell sets it on: the
+#: detector parameters, the drive or the measurement time.
 PARAM_TARGETS = {
     **dict.fromkeys(("gamma_tl", "gamma_1", "gamma_0", "gamma_rel", "gamma_res"), "params"),
     **dict.fromkeys(("alpha_sq", "kappa", "sigma"), "drive"),
@@ -87,6 +90,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.axis2 is not None and self.axis2.name == self.axis1.name:
+            raise ValueError(f"axis1 and axis2 both sweep {self.axis1.name!r}; "
+                             "they must name different parameters")
         if self.objective == "pm_at_tm" and self.t_m is None:
             raise ValueError("pm_at_tm needs t_m")
         if self.objective in ("eta_finite_n", "steady_pm") and self.n_in is None:
@@ -112,22 +118,18 @@ class SweepResult:
     errors: tuple[tuple[int, ...], ...]  # cell indices that failed
 
     def to_csv(self, path) -> None:
-        """Long format: axis1[,axis2],objective."""
+        """Long format: axis1[,axis2],objective, one row per cell."""
+        axes = [(self.spec.axis1.name, self.axis1_values)]
+        if self.axis2_values is not None:
+            axes.append((self.spec.axis2.name, self.axis2_values))
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if self.axis2_values is None:
-                w.writerow([self.spec.axis1.name, self.spec.objective])
-                for x, val in zip(self.axis1_values, self.values):
-                    w.writerow([f"{x:.9g}", f"{val:.12g}"])
-            else:
-                w.writerow(
-                    [self.spec.axis1.name, self.spec.axis2.name, self.spec.objective]
-                )
-                for i, x in enumerate(self.axis1_values):
-                    for j, y in enumerate(self.axis2_values):
-                        w.writerow([f"{x:.9g}", f"{y:.9g}", f"{self.values[i, j]:.12g}"])
+            w.writerow([name for name, _ in axes] + [self.spec.objective])
+            for idx in np.ndindex(self.values.shape):
+                w.writerow([f"{grid[i]:.9g}" for (_, grid), i in zip(axes, idx)]
+                           + [f"{self.values[idx]:.12g}"])
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         data = {
             "objective": self.spec.objective,
             "axis1": {"name": self.spec.axis1.name, "values": self.axis1_values.tolist()},
@@ -139,28 +141,28 @@ class SweepResult:
                 "name": self.spec.axis2.name,
                 "values": self.axis2_values.tolist(),
             }
-        return strict_json(data, indent)
+        return strict_json(data, 2)
 
 
-def _rate_values(spec: SweepSpec, axes: list, grids: list) -> np.ndarray:
-    """The rate objective on the whole grid in one broadcast call. Whether a
-    cell's detector and drive can be built depends on each swept value
-    alone, so each value is checked once; a cell with one that fails is NaN."""
-    mesh = np.meshgrid(*grids, indexing="ij")
-    rates = {name: np.full(mesh[0].shape, getattr(spec.params, name))
+def _builds(spec: SweepSpec, name: str, value) -> bool:
+    """Whether a cell can take ``value`` of ``name``: the detector or the
+    drive builds with it, and a t_m is > 0 where pm_at_tm integrates to it."""
+    target = PARAM_TARGETS[name]
+    if target == "t_m":
+        return spec.objective != "pm_at_tm" or value > 0
+    try:
+        replace(getattr(spec, target), **{name: value})
+    except ValueError:
+        return False
+    return True
+
+
+def _rate_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
+    """The rate objective on the whole grid in one broadcast call."""
+    rates = {name: np.full(built.shape, mesh.get(name, getattr(spec.params, name)))
              for name, target in PARAM_TARGETS.items() if target == "params"}
-    built = np.ones(mesh[0].shape, dtype=bool)
-    # the last axis of a name sets it, as in one cell's replace()
-    for name, k in {ax.name: k for k, ax in enumerate(axes)}.items():
-        target = PARAM_TARGETS[name]
-        if target == "params":
-            rates[name] = mesh[k]
-        if target != "t_m":  # t_m does not enter a rate objective
-            base = spec.params if target == "params" else spec.drive
-            ok = [_builds(base, name, v) for v in grids[k]]
-            built &= np.reshape(ok, [-1 if i == k else 1 for i in range(len(axes))])
-    # each value is checked above, so the array-valued copy skips the checks
-    # of DetectorParams.__post_init__, which take scalars
+    # run_sweep has checked each swept value, so the array-valued copy skips
+    # the checks of DetectorParams.__post_init__, which take scalars
     params = copy.copy(spec.params)
     params.__dict__.update(rates)
     if spec.objective == "steady_pm":
@@ -170,14 +172,6 @@ def _rate_values(spec: SweepSpec, axes: list, grids: list) -> np.ndarray:
     else:
         values = rate.efficiency_finite_flux(params, spec.n_in)
     return np.where(built, values, np.nan)
-
-
-def _builds(base, name: str, value) -> bool:
-    try:
-        replace(base, **{name: value})
-    except ValueError:
-        return False
-    return True
 
 
 def _pm_at_pulses(group: list, values: np.ndarray) -> None:
@@ -201,24 +195,23 @@ def _pm_at_pulses(group: list, values: np.ndarray) -> None:
         values[idx] = y_k[3, np.searchsorted(t_eval, t_m)]
 
 
-def _pm_values(spec: SweepSpec, axes: list, grids: list) -> np.ndarray:
-    """pm_at_tm cell by cell; the cells of a pulse drive are gathered by
-    envelope and integrated stacked. A cell that fails is NaN."""
-    values = np.full([g.size for g in grids], np.nan)
+def _pm_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
+    """pm_at_tm of each cell that can be built; the cells of a pulse drive
+    are gathered by envelope and integrated stacked. A cell that fails is NaN."""
+    values = np.full(built.shape, np.nan)
     stacked = spec.drive.kind is not DriveKind.CONTINUOUS
+    swept = {t: {name: m for name, m in mesh.items() if PARAM_TARGETS[name] == t}
+             for t in ("params", "drive")}
     groups = {}  # envelope key -> pulse cells that share it
-    for idx in np.ndindex(values.shape):
-        cell = {"params": {}, "drive": {}, "t_m": {}}  # the swept fields by target
-        for ax, g, i in zip(axes, grids, idx):
-            cell[PARAM_TARGETS[ax.name]][ax.name] = g[i]
+    for idx in zip(*np.nonzero(built)):
+        # the spec's own detector or drive where none of its fields is swept
+        params, drive = (replace(getattr(spec, t), **{name: m[idx] for name, m in fields.items()})
+                         if fields else getattr(spec, t) for t, fields in swept.items())
+        t_m = mesh["t_m"][idx] if "t_m" in mesh else spec.t_m
         with contextlib.suppress(Exception):  # per-cell isolation
-            params = replace(spec.params, **cell["params"]) if cell["params"] else spec.params
-            drive = replace(spec.drive, **cell["drive"]) if cell["drive"] else spec.drive
-            t_m = cell["t_m"].get("t_m", spec.t_m)
             if stacked:
-                # a cell that fails alone is kept out of its group
-                if not t_m > 0:
-                    raise ValueError(f"t_m must be > 0, got {t_m}")
+                # checked per cell, as it takes two fields at once; a cell
+                # that fails alone stays out of its group
                 meanfield._check_preconditions(params, drive)
                 groups.setdefault(meanfield.envelope_key(drive), []).append(
                     (idx, params, drive, t_m))
@@ -232,16 +225,22 @@ def _pm_values(spec: SweepSpec, axes: list, grids: list) -> np.ndarray:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the objective on the dense grid.
 
-    A rate objective is evaluated on the whole grid in one broadcast call.
-    The pm_at_tm cells of a pulse drive are integrated in one stacked call
-    per envelope (one in all unless ``sigma`` or ``kappa`` is swept); a
+    Each swept value is checked once, for every objective: a cell is built
+    only when all of its values pass, and is NaN otherwise. A rate
+    objective is evaluated on the whole grid in one broadcast call. The
+    pm_at_tm cells of a pulse drive are integrated in one stacked call per
+    envelope (one in all unless ``sigma`` or ``kappa`` is swept); a
     continuous-drive cell is integrated on its own. Deterministic for a
     given spec; every cell without a finite value is NaN and listed in the
     result.
     """
     axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
     grids = [ax.grid() for ax in axes]
-    values = (_pm_values if spec.objective == "pm_at_tm" else _rate_values)(spec, axes, grids)
+    mesh = dict(zip([ax.name for ax in axes], np.meshgrid(*grids, indexing="ij")))
+    # validity factors by axis: the detector and the drive check each field alone
+    ok = [[_builds(spec, ax.name, v) for v in grid] for ax, grid in zip(axes, grids)]
+    built = functools.reduce(np.logical_and, np.meshgrid(*ok, indexing="ij", sparse=True))
+    values = (_pm_values if spec.objective == "pm_at_tm" else _rate_values)(spec, mesh, built)
     failed = ~np.isfinite(values)
     values[failed] = np.nan
     return SweepResult(

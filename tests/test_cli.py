@@ -326,6 +326,14 @@ NUMERICAL = {"keeps growing", "collides"}
     (["efficiency", "--gamma-res", "1e200", "--gamma-0", "0.01"], None, "not finite"),
     (["nep", "--gamma-res", "1e200", "--gamma-0", "0.01"], None, "not finite"),
     (["efficiency", "--gamma-1", "0", "--gamma-rel", "1"], None, "eta_max = 0"),
+    (["simulate", "--drive", "continuous", "--gamma-tl", "0", "--gamma-1", "0",
+      "--alpha-sq", "0.1"], None, "gamma_tilde = 0"),
+    (["simulate", "--drive", "continuous", "--gamma-tl", "0", "--gamma-1", "0",
+      "--alpha-sq", "0.1", "--t-end", "5", "--output", "x.csv"], None, "gamma_tilde = 0"),
+    (["simulate", "--drive", "gauss", "--sigma", "1", "--gamma-tl", "0", "--gamma-1", "0",
+      "--alpha-sq", "0.1", "--output", "y.csv"], None, "gamma_tilde = 0"),
+    (["compare", "--gamma-tl", "0", "--gamma-1", "0", "--alpha-sq", "0.1"],
+     None, "gamma_tilde = 0"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
     monkeypatch.chdir(tmp_path)

@@ -341,7 +341,7 @@ class TestReflection:
         traj = meanfield.integrate(
             p, DriveSpec.continuous(0.05, OMEGA), meanfield.IntegratorConfig(t_end=5.0)
         )
-        r = meanfield.reflection_series(traj)
+        r = traj.reflection()
         assert r.shape == traj.times.shape
         assert r[0] == pytest.approx(-1.0 + 2 * p.gamma_tl / p.gamma_tilde)
 

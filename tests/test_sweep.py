@@ -63,6 +63,21 @@ class TestSpecValidation:
                 objective=objective, **{field: 0.0},
             )
 
+    def test_same_name_on_both_axes(self, capsys, tmp_path):
+        # one name on both axes would leave one of them without effect
+        with pytest.raises(ValueError, match="'gamma_tl'"):
+            sweep.SweepSpec(
+                axis1=sweep.SweepAxis("gamma_tl", 0.1, 10, 3),
+                axis2=sweep.SweepAxis("gamma_tl", 0.5, 2, 3),
+                params=make_params(), drive=DriveSpec.continuous(0.0, OMEGA), objective="eta",
+            )
+        axis = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 3}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"axis1": axis, "axis2": axis, "t_m": 5.0}))
+        assert main(["sweep", "--spec", str(spec_path), "--format", "json"]) == 2
+        err = capsys.readouterr().err
+        assert "'gamma_tl'" in err and "Traceback" not in err
+
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
             sweep.SweepSpec(
@@ -252,13 +267,22 @@ class TestStackedPulses:
         sweep.run_sweep(stacked_spec("swept-sigma"))
         assert calls == [2, 2, 2]
 
-    def test_non_positive_t_m_fails_its_cell(self):
+    def test_non_positive_t_m_fails_its_cell(self, monkeypatch):
         # as a cell integrated alone does; the stacked grid must not take
-        # t = -5 or a second t = 0
+        # t = -5 or a second t = 0, so the two other cells need one call
         spec = sweep.SweepSpec(
             axis1=Ax("t_m", -5.0, 10.0, 4, scale="linear"), params=make_params(),
             drive=DriveSpec.gaussian(1.0, OMEGA, 1.0), t_m=5.0)
+        calls = []
+        integrate_pulses = meanfield.integrate_pulses
+
+        def spy(cells, *args):
+            calls.append(len(cells))
+            return integrate_pulses(cells, *args)
+
+        monkeypatch.setattr(meanfield, "integrate_pulses", spy)
         res = sweep.run_sweep(spec)
+        assert calls == [2]
         assert res.errors == ((0,), (1,))
         for i in (2, 3):
             alone = sweep._pm_at(spec.params, spec.drive, res.axis1_values[i])
@@ -332,9 +356,9 @@ def rate_cell(objective, params, n_in):
 
 
 def per_cell_sweep(spec):
-    """The reference for the broadcast rate path: each cell's detector and
-    drive built by replace(), its value from the scalar function, and a cell
-    failed where either raises."""
+    """The reference for the sweep grid model: each cell's detector and drive
+    built by replace(), its value from the scalar rate function or from
+    sweep._pm_at, and a cell failed where either raises."""
     axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
     grids = [ax.grid() for ax in axes]
     ref = sweep.SweepResult(spec, grids[0], grids[1] if spec.axis2 else None,
@@ -342,9 +366,10 @@ def per_cell_sweep(spec):
     failed = []
     for idx in np.ndindex(ref.values.shape):
         try:
-            params, _, _ = cell_inputs(spec, ref, idx)
-            ref.values[idx] = rate_cell(spec.objective, params, spec.n_in)
-        except ValueError:
+            params, drive, t_m = cell_inputs(spec, ref, idx)
+            ref.values[idx] = (sweep._pm_at(params, drive, t_m) if spec.objective == "pm_at_tm"
+                               else rate_cell(spec.objective, params, spec.n_in))
+        except (ValueError, meanfield.IntegrationError, meanfield.InvariantViolation):
             failed.append(idx)
     return replace(ref, errors=tuple(failed))
 
@@ -365,8 +390,6 @@ RATE_GRIDS = {
                       DriveSpec.exponential(0.5, OMEGA, 1.0)),
     "one-axis": (Ax("gamma_1", -0.5, 2.0, 6, **Lin), None, dict(gamma_rel=0.0, gamma_0=0.0), None),
     "unswept-rates": (Ax("alpha_sq", -1.0, 1.0, 3, **Lin), None, dict(gamma_res=0.0), None),
-    # the later axis of a name sets it, as in one cell's replace()
-    "same-name-twice": (Ax("gamma_tl", -1.0, 1.0, 3, **Lin), Ax("gamma_tl", 0.5, 2.0, 3), {}, None),
     "overflow": (Ax("gamma_res", -1.0, 1e200, 6, **Lin), Ax("gamma_tl", 1.0, 1e200, 3), {}, None),
 }
 
@@ -387,8 +410,7 @@ class TestRateBroadcast:
         for seed in (1, 2, 3):
             spec = rate_spec(name, objective, seed)
             res, ref = sweep.run_sweep(spec), per_cell_sweep(spec)
-            # each grid has failing cells, except where the later axis hides them
-            assert bool(res.errors) == (name != "same-name-twice")
+            assert res.errors  # each grid has failing cells
             assert res.to_json() == ref.to_json()
             res.to_csv(tmp_path / "res.csv")
             ref.to_csv(tmp_path / "ref.csv")
@@ -410,8 +432,12 @@ class TestRateBroadcast:
         assert all(type(i) is int for cell in res.errors for i in cell)
         assert json.loads(res.to_json())["failed_cells"] == [list(c) for c in res.errors]
 
-    def test_checks_each_axis_value_once(self, monkeypatch):
-        spec = rate_spec("rates-below-0", "eta", 1)
+    @pytest.mark.parametrize("objective,cells", [("eta", 0), ("pm_at_tm", 3 * 3)],
+                             ids=["eta", "pm_at_tm"])
+    def test_checks_each_axis_value_once(self, monkeypatch, objective, cells):
+        # a rate objective builds no cell; pm_at_tm rebuilds only the 3 x 3
+        # cells whose gamma_tl and gamma_0 are both >= 0
+        spec = replace(rate_spec("rates-below-0", "eta", 1), objective=objective, t_m=5.0)
         built = []
         params_init = DetectorParams.__post_init__
 
@@ -421,7 +447,41 @@ class TestRateBroadcast:
 
         monkeypatch.setattr(DetectorParams, "__post_init__", spy)
         sweep.run_sweep(spec)
-        assert len(built) == 5 + 5
+        assert len(built) == 5 + 5 + cells
+
+
+#: name -> (axis1, axis2 or None, pinned base rates) of continuous-drive
+#: pm_at_tm grids
+PM_GRIDS = {
+    "t_m-through-0": (Ax("t_m", -5.0, 10.0, 4, **Lin), Ax("gamma_tl", 0.5, 2.0, 3),
+                      dict(gamma_0=0.0)),
+    "gamma_0-and-rates-below-0": (Ax("gamma_0", -0.1, 0.1, 5, **Lin),
+                                  Ax("gamma_tl", -1.0, 1.0, 5, **Lin), {}),
+    "alpha_sq-below-0": (Ax("alpha_sq", -1.0, 1.0, 5, **Lin), Ax("gamma_1", -0.5, 2.0, 4, **Lin),
+                         dict(gamma_0=0.0)),
+    "gamma_res-and-kappa": (Ax("gamma_res", -1.0, 1.0, 3, **Lin), Ax("kappa", -1.0, 1.0, 3, **Lin),
+                            dict(gamma_0=0.0)),
+    "one-axis-alpha_sq": (Ax("alpha_sq", -0.5, 2.0, 6, **Lin), None, dict(gamma_0=0.0)),
+    "one-axis-t_m": (Ax("t_m", -1.0, 3.0, 5, **Lin), None, dict(gamma_0=0.0)),
+}
+
+
+class TestContinuousPm:
+    """Continuous-drive pm_at_tm cells fail where one cell alone fails."""
+
+    @pytest.mark.parametrize("name", list(PM_GRIDS))
+    def test_output_is_byte_identical_to_per_cell(self, name, tmp_path):
+        axis1, axis2, pinned = PM_GRIDS[name]
+        for seed in (1, 2, 3):
+            spec = sweep.SweepSpec(axis1=axis1, axis2=axis2,
+                                   params=seeded_params(seed, **{"gamma_res": 0.0, **pinned}),
+                                   drive=DriveSpec.continuous(0.1, OMEGA), t_m=5.0)
+            res, ref = sweep.run_sweep(spec), per_cell_sweep(spec)
+            assert res.errors and len(res.errors) < res.values.size
+            assert res.to_json() == ref.to_json()
+            res.to_csv(tmp_path / "res.csv")
+            ref.to_csv(tmp_path / "ref.csv")
+            assert (tmp_path / "res.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestExports:
