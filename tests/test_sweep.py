@@ -401,6 +401,20 @@ def rate_spec(name, objective, seed):
                            objective=objective, n_in=0.3)
 
 
+def count_params_built(monkeypatch, spec):
+    """How many DetectorParams run_sweep(spec) builds."""
+    built = []
+    params_init = DetectorParams.__post_init__
+
+    def spy(self):
+        built.append(self)
+        params_init(self)
+
+    monkeypatch.setattr(DetectorParams, "__post_init__", spy)
+    sweep.run_sweep(spec)
+    return len(built)
+
+
 class TestRateBroadcast:
     """A rate objective runs as one broadcast call over the whole grid."""
 
@@ -432,22 +446,10 @@ class TestRateBroadcast:
         assert all(type(i) is int for cell in res.errors for i in cell)
         assert json.loads(res.to_json())["failed_cells"] == [list(c) for c in res.errors]
 
-    @pytest.mark.parametrize("objective,cells", [("eta", 0), ("pm_at_tm", 3 * 3)],
-                             ids=["eta", "pm_at_tm"])
-    def test_checks_each_axis_value_once(self, monkeypatch, objective, cells):
-        # a rate objective builds no cell; pm_at_tm rebuilds only the 3 x 3
-        # cells whose gamma_tl and gamma_0 are both >= 0
-        spec = replace(rate_spec("rates-below-0", "eta", 1), objective=objective, t_m=5.0)
-        built = []
-        params_init = DetectorParams.__post_init__
-
-        def spy(self):
-            built.append(self)
-            params_init(self)
-
-        monkeypatch.setattr(DetectorParams, "__post_init__", spy)
-        sweep.run_sweep(spec)
-        assert len(built) == 5 + 5 + cells
+    def test_checks_each_axis_value_once(self, monkeypatch):
+        # a rate objective builds no cell
+        spec = rate_spec("rates-below-0", "eta", 1)
+        assert count_params_built(monkeypatch, spec) == 5 + 5
 
 
 #: name -> (axis1, axis2 or None, pinned base rates) of continuous-drive
@@ -482,6 +484,12 @@ class TestContinuousPm:
             res.to_csv(tmp_path / "res.csv")
             ref.to_csv(tmp_path / "ref.csv")
             assert (tmp_path / "res.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_checks_each_axis_value_once(self, monkeypatch):
+        # each axis value is checked once, then only the 3 x 3 cells whose
+        # gamma_tl and gamma_0 are both >= 0 are built
+        spec = replace(rate_spec("rates-below-0", "eta", 1), objective="pm_at_tm", t_m=5.0)
+        assert count_params_built(monkeypatch, spec) == 5 + 5 + 3 * 3
 
 
 class TestExports:
