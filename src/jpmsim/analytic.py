@@ -66,12 +66,6 @@ def _require_lossless(params: DetectorParams, what: str) -> None:
         )
 
 
-def _require_alpha_sq(alpha_sq) -> None:
-    _require_finite("alpha_sq", alpha_sq)
-    if alpha_sq < 0:
-        raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
-
-
 def _cubic(params: DetectorParams, alpha_sq: float) -> np.ndarray:
     """Coefficients, highest power first, of the continuous-drive cubic
 
@@ -81,7 +75,7 @@ def _cubic(params: DetectorParams, alpha_sq: float) -> np.ndarray:
     with wr^2 = 2 alpha_sq gamma_tl omega_0 / pi. The constant term is also
     the numerator of pm(s).
     """
-    _require_alpha_sq(alpha_sq)
+    _require_finite("alpha_sq", alpha_sq, 0.0)
     gt = params.gamma_tilde
     wr2 = 2.0 * alpha_sq * params.gamma_tl * params.omega_0 / np.pi
     return np.array([1.0, 1.5 * gt, 0.5 * gt**2 + wr2, 0.5 * wr2 * params.gamma_1])
@@ -172,10 +166,8 @@ def _exp_pulse_leading(params: DetectorParams, alpha_sq: float, kappa: float, wh
     factor (kappa + gt/2)(1 + gamma_tl/gamma_1) and the leading term
     wrt^2 / (4 kappa shape), with wrt^2 = 2 alpha_sq kappa gamma_tl / pi."""
     _require_lossless(params, what)
-    _require_alpha_sq(alpha_sq)
-    _require_finite("kappa", kappa)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    _require_finite("alpha_sq", alpha_sq, 0.0)
+    _require_finite("kappa", kappa, 0.0, strict=True)
     if params.gamma_1 == 0:
         raise ValueError("exponential-pulse formulas need gamma_1 > 0")
     wrt2 = 2.0 * alpha_sq * kappa * params.gamma_tl / np.pi
@@ -198,7 +190,7 @@ def exp_pulse_steady_state(
     relative to kappa).
     """
     wrt2, shape, leading = _exp_pulse_leading(params, alpha_sq, kappa, "exponential-pulse series")
-    if not 1 <= order <= 12:
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or not 1 <= order <= 12:
         raise ValueError(f"order must be in 1..12, got {order}")
     if alpha_sq == 0.0:
         return 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,15 +21,32 @@ TWO_PI = 2.0 * np.pi
 #: Tolerance for the probability-simplex invariants of a trajectory.
 SIMPLEX_EPS = 1e-6
 
+_INF = math.inf
 
-def _require_finite(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a finite real number."""
+
+def _require_finite(name: str, value, minimum: float = -sys.float_info.max,
+                    strict: bool = False, message: str | None = None):
+    """Whether ``value`` of the field ``name`` is a finite number >= ``minimum``
+    (> if ``strict``); a bool is not a number. An array, such as a sweep axis,
+    gives the mask of its elements that are. A scalar that is not raises
+    ValueError naming ``name``: "must be a finite number", or ``message``,
+    by default "must be >= minimum"."""
+    # a float, the common case, passes here without the branches below
+    if value.__class__ is float and ((minimum < value < _INF) if strict
+                                     else (minimum <= value < _INF)):
+        return True
+    if isinstance(value, np.ndarray):
+        return ((value > minimum) if strict else (value >= minimum)) & (value < _INF)
     try:
-        if math.isfinite(value):
-            return
-    except TypeError:  # None, a string or another non-number
-        pass
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+        finite = math.isfinite(value) and not isinstance(value, bool)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if (value > minimum) if strict else (value >= minimum):
+        return True
+    raise ValueError(message
+                     or f"{name} must be {'>' if strict else '>='} {minimum:g}, got {value}")
 
 
 def _require_int(name: str, value, minimum: int) -> None:
@@ -92,12 +110,14 @@ class DetectorParams:
 
     def __post_init__(self):
         for name in ("gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res"):
-            _require_finite(name, getattr(self, name))
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        _require_finite("omega_0", self.omega_0)
-        if self.omega_0 <= 0:
-            raise ValueError(f"omega_0 must be > 0, got {self.omega_0}")
+            _require_finite(name, getattr(self, name), 0.0)
+        _require_finite("omega_0", self.omega_0, 0.0, strict=True)
+
+    @staticmethod
+    def check(name: str, value):
+        """The rule of the rate ``name`` (see __post_init__): for an array, the
+        mask of the values it may take; a scalar it may not take raises."""
+        return _require_finite(name, value, 0.0)
 
     @property
     def gamma_tilde(self) -> float:
@@ -110,6 +130,13 @@ class DriveKind(enum.Enum):
     EXPONENTIAL = "exponential"
     GAUSSIAN = "gaussian"
     TABULATED = "tabulated"
+
+
+#: The pulse kind whose envelope each DriveSpec field shapes, on which it must
+#: be > 0, and the error when it is not.
+_SHAPE_KINDS = {"kappa": DriveKind.EXPONENTIAL, "sigma": DriveKind.GAUSSIAN}
+_SHAPE_NEEDS = {name: f"{kind.value} drive requires {name} > 0"
+                for name, kind in _SHAPE_KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -138,24 +165,26 @@ class DriveSpec:
     table_f: tuple[float, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        _require_finite("alpha_sq", self.alpha_sq)
-        _require_finite("omega_s", self.omega_s)
-        for name in ("kappa", "sigma", "t0"):
-            if getattr(self, name) is not None:
-                _require_finite(name, getattr(self, name))
-        if self.alpha_sq < 0:
-            raise ValueError(f"alpha_sq must be >= 0, got {self.alpha_sq}")
-        if self.omega_s <= 0:
-            raise ValueError(f"omega_s must be > 0, got {self.omega_s}")
-        if self.kind is DriveKind.EXPONENTIAL:
-            if self.kappa is None or self.kappa <= 0:
-                raise ValueError("exponential drive requires kappa > 0")
-        elif self.kind is DriveKind.GAUSSIAN:
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("gaussian drive requires sigma > 0")
-        elif self.kind is DriveKind.TABULATED:
-            if self.table_t is None or self.table_f is None:
-                raise ValueError("tabulated drive requires sample arrays")
+        for name in ("alpha_sq", "omega_s", "kappa", "sigma", "t0"):
+            value = getattr(self, name)
+            if value is not None or self.kind is _SHAPE_KINDS.get(name):
+                self.check(name, value)
+        if self.kind is DriveKind.TABULATED and (self.table_t is None or self.table_f is None):
+            raise ValueError("tabulated drive requires sample arrays")
+
+    def check(self, name: str, value):
+        """The rule of the field ``name``: for an array, the mask of the values
+        it may take; a scalar it may not take raises. kappa and sigma must be
+        > 0 on the kind they shape; elsewhere, like t0, only finite if given."""
+        if name == "alpha_sq":
+            return _require_finite(name, value, 0.0)
+        if name == "omega_s":
+            return _require_finite(name, value, 0.0, strict=True)
+        if self.kind is _SHAPE_KINDS.get(name):
+            if value is None:
+                raise ValueError(_SHAPE_NEEDS[name])
+            return _require_finite(name, value, 0.0, strict=True, message=_SHAPE_NEEDS[name])
+        return _require_finite(name, value)
 
     @classmethod
     def continuous(cls, alpha_sq: float, omega_s: float) -> "DriveSpec":
@@ -205,8 +234,7 @@ def photon_number(drive: DriveSpec, t_m: float) -> float:
     Continuous drive: flux * t_m. Pulse kinds: alpha_sq, the photon content
     of the normalized wave packet, independent of t_m.
     """
-    if t_m < 0:
-        raise ValueError(f"t_m must be >= 0, got {t_m}")
+    _require_finite("t_m", t_m, 0.0)
     if drive.kind is DriveKind.CONTINUOUS:
         return photon_flux(drive.alpha_sq, drive.omega_s) * t_m
     return drive.alpha_sq

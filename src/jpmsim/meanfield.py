@@ -88,9 +88,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.t_end is not None:
-            _require_finite("t_end", self.t_end)
-            if self.t_end <= 0:
-                raise ValueError("t_end must be > 0")
+            _require_finite("t_end", self.t_end, 0.0, strict=True, message="t_end must be > 0")
         _require_int("n_samples", self.n_samples, 2)
 
 
@@ -221,10 +219,9 @@ def integrate(
     else:
         y = integrate_pulses([(params, drive)], t_eval)[0]
 
-    traj = Trajectory(times=t_eval, v=y[0], p0=y[1], p1=y[2], pm=y[3],
+    _check_invariants(t_eval, y)
+    return Trajectory(times=t_eval, v=y[0], p0=y[1], p1=y[2], pm=y[3],
                       drive=drive, params=params)
-    _check_invariants(traj)
-    return traj
 
 
 def integrate_pulses(
@@ -295,19 +292,22 @@ def envelope_key(drive: DriveSpec) -> tuple:
             drive.table_t, drive.table_f)
 
 
-def _check_invariants(traj: Trajectory) -> None:
-    for arr, name in ((traj.p0, "p0"), (traj.p1, "p1"), (traj.pm, "pm")):
+def _check_invariants(times: np.ndarray, y: np.ndarray) -> None:
+    """Assert the simplex bounds and probability conservation at every sample
+    y = (v, p0, p1, pm) of shape (..., 4, len(times)), leading axes being cells."""
+    p0, p1, pm = y[..., 1, :], y[..., 2, :], y[..., 3, :]
+    for arr, name in ((p0, "p0"), (p1, "p1"), (pm, "pm")):
         outside = ~((arr >= -SIMPLEX_EPS) & (arr <= 1.0 + SIMPLEX_EPS))  # NaN is outside too
         if outside.any():
-            i = int(np.argmax(outside))
+            i = np.unravel_index(np.argmax(outside), arr.shape)
             raise InvariantViolation(
-                f"{name} = {arr[i]} outside [0, 1] by > {SIMPLEX_EPS} at t = {traj.times[i]}"
+                f"{name} = {arr[i]} outside [0, 1] by > {SIMPLEX_EPS} at t = {times[i[-1]]}"
             )
-    total = traj.p0 + traj.p1 + traj.pm
+    total = p0 + p1 + pm
     if np.any(np.abs(total - 1.0) > SIMPLEX_EPS):
-        i = int(np.argmax(np.abs(total - 1.0)))
+        i = np.unravel_index(np.argmax(np.abs(total - 1.0)), total.shape)
         raise InvariantViolation(
-            f"probability sum {total[i]} deviates from 1 at t = {traj.times[i]}"
+            f"probability sum {total[i]} deviates from 1 at t = {times[i[-1]]}"
         )
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .core import TWO_PI, DriveKind, DriveSpec
+from .core import TWO_PI, DriveKind, DriveSpec, _require_finite
 
 #: Truncation thresholds chosen so the discarded |f|^2 mass is < 1e-8.
 EXP_SUPPORT_FACTOR = 40.0  # support [0, 40/kappa]; e^(-40) ~ 4e-18
@@ -55,8 +55,7 @@ def exponential_envelope(kappa: float) -> Envelope:
 
     Analytically unit-normalized, so c = 1 exactly.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    _require_finite("kappa", kappa, 0.0, strict=True)
 
     def raw(t):
         return np.where(t >= 0, np.sqrt(kappa) * np.exp(-0.5 * kappa * t), 0.0)
@@ -76,8 +75,7 @@ def gaussian_envelope(
     drops is far below float rounding. With ``paper_literal=True`` the raw
     prefactor is kept for comparison runs.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _require_finite("sigma", sigma, 0.0, strict=True)
     half_width = GAUSS_SUPPORT_SIGMAS / (sigma * np.sqrt(2.0))
     if t0 is None:
         t0 = half_width

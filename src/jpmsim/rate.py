@@ -32,7 +32,7 @@ PER_NS_TO_PER_S = 1e9
 
 
 def _require_flux(n_in) -> None:
-    if not 0.0 <= n_in < math.inf:  # False for NaN
+    if isinstance(n_in, bool) or not 0.0 <= n_in < math.inf:  # False for NaN
         raise ValueError(f"n_in must be a finite number >= 0, got {n_in!r}")
 
 

@@ -1,17 +1,18 @@
 """Parameter sweeps (1D/2D) and 1D maximization of the figure-of-merit.
 
-Every objective shares one grid model: each swept value is checked once,
-which gives a mask of the cells that can be built beside the mesh of swept
-values. A rate objective is evaluated on the whole mesh in one call of the
-rate closed forms, which broadcast over array-valued rates. The pm_at_tm
-cells of a pulse drive that share one envelope go into one stacked
-:func:`meanfield.integrate_pulses` call. Continuous-drive cells run one
-after another; a thread pool measured slower, because each cell holds the
-interpreter lock. Failures are isolated per cell so a stiff corner cannot
-kill a whole run: a stacked call that fails, or a cell of it that breaks an
-invariant, is retried in halves down to single cells, and a cell without a
-finite value is reported failed. Rate-like axes default to log scale since
-the interesting structure spans decades.
+Every objective shares one grid model: each axis is checked by one array
+call of the rule its field has for scalars (``DetectorParams.check``,
+``DriveSpec.check``), which gives a mask of the cells that can be built
+beside the mesh of swept values. A rate objective is evaluated on the whole
+mesh in one call of the rate closed forms, which broadcast over array-valued
+rates. The pm_at_tm cells of a pulse drive that share one envelope go into
+one stacked :func:`meanfield.integrate_pulses` call. Continuous-drive cells
+run one after another; a thread pool measured slower, because each cell
+holds the interpreter lock. Failures are isolated per cell so a stiff corner
+cannot kill a whole run: a stacked call that fails, or a cell of it that
+breaks an invariant, is retried in halves down to single cells, and a cell
+without a finite value is reported failed. Rate-like axes default to log
+scale since the interesting structure spans decades.
 """
 
 from __future__ import annotations
@@ -98,13 +99,9 @@ class SweepSpec:
         if self.objective in ("eta_finite_n", "steady_pm") and self.n_in is None:
             raise ValueError(f"{self.objective} needs n_in")
         if self.t_m is not None:
-            _require_finite("t_m", self.t_m)
-            if self.t_m <= 0:
-                raise ValueError(f"t_m must be > 0, got {self.t_m}")
+            _require_finite("t_m", self.t_m, 0.0, strict=True)
         if self.n_in is not None:
-            _require_finite("n_in", self.n_in)
-            if self.n_in < 0:
-                raise ValueError(f"n_in must be >= 0, got {self.n_in}")
+            _require_finite("n_in", self.n_in, 0.0)
             if self.objective == "eta_finite_n" and self.n_in == 0:
                 raise ValueError("eta_finite_n needs n_in > 0")
 
@@ -144,25 +141,20 @@ class SweepResult:
         return strict_json(data, 2)
 
 
-def _builds(spec: SweepSpec, name: str, value) -> bool:
-    """Whether a cell can take ``value`` of ``name``: the detector or the
-    drive builds with it, and a t_m is > 0 where pm_at_tm integrates to it."""
-    target = PARAM_TARGETS[name]
-    if target == "t_m":
-        return spec.objective != "pm_at_tm" or value > 0
-    try:
-        replace(getattr(spec, target), **{name: value})
-    except ValueError:
-        return False
-    return True
+def _axis_ok(spec: SweepSpec, name: str, grid: np.ndarray) -> np.ndarray:
+    """The mask of the values of an axis that a cell can take, from one array
+    call of the field's rule; t_m must be > 0 only where pm_at_tm integrates to it."""
+    if name == "t_m":
+        return _require_finite(name, grid, 0.0, strict=True) | (spec.objective != "pm_at_tm")
+    return getattr(spec, PARAM_TARGETS[name]).check(name, grid)
 
 
 def _rate_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
     """The rate objective on the whole grid in one broadcast call."""
     rates = {name: np.full(built.shape, mesh.get(name, getattr(spec.params, name)))
              for name, target in PARAM_TARGETS.items() if target == "params"}
-    # run_sweep has checked each swept value, so the array-valued copy skips
-    # the checks of DetectorParams.__post_init__, which take scalars
+    # run_sweep has checked each axis, so the array-valued copy skips
+    # DetectorParams.__post_init__
     params = copy.copy(spec.params)
     params.__dict__.update(rates)
     if spec.objective == "steady_pm":
@@ -184,8 +176,7 @@ def _pm_at_pulses(group: list, values: np.ndarray) -> None:
     t_eval = np.concatenate(([0.0], np.unique([t_m for *_, t_m in group])))
     try:
         y = meanfield.integrate_pulses([(p, d) for _, p, d, _ in group], t_eval)
-        for (_, params, drive, _), y_k in zip(group, y):
-            meanfield._check_invariants(meanfield.Trajectory(t_eval, *y_k, drive, params))
+        meanfield._check_invariants(t_eval, y)
     except Exception:  # isolated by halving
         if len(group) > 1:
             _pm_at_pulses(group[:len(group) // 2], values)
@@ -225,20 +216,20 @@ def _pm_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the objective on the dense grid.
 
-    Each swept value is checked once, for every objective: a cell is built
-    only when all of its values pass, and is NaN otherwise. A rate
-    objective is evaluated on the whole grid in one broadcast call. The
-    pm_at_tm cells of a pulse drive are integrated in one stacked call per
-    envelope (one in all unless ``sigma`` or ``kappa`` is swept); a
-    continuous-drive cell is integrated on its own. Deterministic for a
-    given spec; every cell without a finite value is NaN and listed in the
-    result.
+    Each axis is checked by one array call of its field's rule, for every
+    objective: a cell is built only when all of its values pass, and is NaN
+    otherwise. A rate objective is evaluated on the whole grid in one
+    broadcast call. The pm_at_tm cells of a pulse drive are integrated in one
+    stacked call per envelope (one in all unless ``sigma`` or ``kappa`` is
+    swept); a continuous-drive cell is integrated on its own. Deterministic
+    for a given spec; every cell without a finite value is NaN and listed in
+    the result.
     """
     axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
     grids = [ax.grid() for ax in axes]
     mesh = dict(zip([ax.name for ax in axes], np.meshgrid(*grids, indexing="ij")))
     # validity factors by axis: the detector and the drive check each field alone
-    ok = [[_builds(spec, ax.name, v) for v in grid] for ax, grid in zip(axes, grids)]
+    ok = [_axis_ok(spec, ax.name, grid) for ax, grid in zip(axes, grids)]
     built = functools.reduce(np.logical_and, np.meshgrid(*ok, indexing="ij", sparse=True))
     values = (_pm_values if spec.objective == "pm_at_tm" else _rate_values)(spec, mesh, built)
     failed = ~np.isfinite(values)

@@ -270,6 +270,10 @@ class TestConfig:
 AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}
 #: Problems that are numerical failures and exit 3; every other case exits 2.
 NUMERICAL = {"keeps growing", "collides"}
+#: --config files that test_malformed_input_exits_2 writes: a JSON true or a
+#: float is not an integer or a rate
+CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"order": True},
+                "float_order.json": {"order": 2.5}}
 
 
 @pytest.mark.parametrize("argv,spec,problem", [
@@ -334,10 +338,29 @@ NUMERICAL = {"keeps growing", "collides"}
       "--alpha-sq", "0.1", "--output", "y.csv"], None, "gamma_tilde = 0"),
     (["compare", "--gamma-tl", "0", "--gamma-1", "0", "--alpha-sq", "0.1"],
      None, "gamma_tilde = 0"),
+    # JSON true is not the number 1
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "params": {"gamma_1": True}, "t_m": 5.0}, "gamma_1"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "drive": {"alpha_sq": True}, "t_m": 5.0}, "alpha_sq"),
+    (["sweep", "--format", "json"], {"axis1": AXIS, "t_m": True}, "t_m"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "objective": "steady_pm", "n_in": True, "params": {"gamma_res": 1.0}},
+     "n_in"),
+    (["sweep", "--format", "json"], {"axis1": {**AXIS, "min": True}, "t_m": 5.0}, "min"),
+    (["--config", "true_gamma_1.json", "match"], None, "gamma_1"),
+    (["--config", "true_order.json", "analytic", "--mode", "exp-steady", "--alpha-sq", "0.1",
+      "--kappa", "1"], None, "order"),
+    (["--config", "float_order.json", "analytic", "--mode", "exp-steady", "--alpha-sq", "0.1",
+      "--kappa", "1"], None, "order"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "params": {"gamma_1": 10**400}, "t_m": 5.0}, "gamma_1"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "one_column.csv").write_text("t,f\n0,0\n1\n2,0\n")
+    for name, config in CONFIG_FILES.items():
+        (tmp_path / name).write_text(json.dumps(config))
     if spec is not None:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))

@@ -86,7 +86,7 @@ FIELD_BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, "1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, "1", True])
 @pytest.mark.parametrize("name", sorted(FIELD_BUILDERS))
 def test_non_finite_or_non_numeric_field_rejected(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
@@ -122,13 +122,10 @@ class TestPhotonNumber:
             photon_number(DriveSpec.continuous(1.0, OMEGA), -1.0)
 
 
-def one_sample(p0: float) -> Trajectory:
-    """A trajectory of one sample with the given p0 and p1 = pm = 0."""
-    zero = np.zeros(1)
-    return Trajectory(
-        times=zero, v=zero, p0=np.array([p0]), p1=zero, pm=zero,
-        drive=DriveSpec.continuous(0.0, OMEGA), params=make_params(),
-    )
+def one_sample(p0: float):
+    """The times and samples (v, p0, p1, pm) of one sample with the given p0
+    and p1 = pm = 0."""
+    return np.zeros(1), np.array([[0.0], [p0], [0.0], [0.0]])
 
 
 class TestState:
@@ -136,11 +133,11 @@ class TestState:
         traj = integrate(make_params(), DriveSpec.continuous(0.1, OMEGA))
         start = (traj.v[0], traj.p0[0], traj.p1[0], traj.pm[0])
         assert start == (0.0, 1.0, 0.0, 0.0)
-        _check_invariants(one_sample(1.0))
+        _check_invariants(*one_sample(1.0))
 
     def test_bounds_violation(self):
         with pytest.raises(InvariantViolation, match="p0"):
-            _check_invariants(one_sample(1.5))
+            _check_invariants(*one_sample(1.5))
 
 
 def test_flux_value():

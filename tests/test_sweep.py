@@ -391,6 +391,18 @@ RATE_GRIDS = {
     "one-axis": (Ax("gamma_1", -0.5, 2.0, 6, **Lin), None, dict(gamma_rel=0.0, gamma_0=0.0), None),
     "unswept-rates": (Ax("alpha_sq", -1.0, 1.0, 3, **Lin), None, dict(gamma_res=0.0), None),
     "overflow": (Ax("gamma_res", -1.0, 1e200, 6, **Lin), Ax("gamma_tl", 1.0, 1e200, 3), {}, None),
+    "sigma-through-0-gaussian": (Ax("sigma", -1.0, 2.0, 4, **Lin), Ax("gamma_tl", 0.1, 10.0, 3),
+                                 {}, DriveSpec.gaussian(0.5, OMEGA, 1.0)),
+    # sigma and kappa need only be finite on a drive they do not shape
+    "sigma-through-0-exponential": (Ax("sigma", -1.0, 2.0, 4, **Lin),
+                                    Ax("gamma_0", -0.1, 0.1, 3, **Lin), {},
+                                    DriveSpec.exponential(0.5, OMEGA, 1.0)),
+    "kappa-through-0-gaussian": (Ax("kappa", -1.0, 2.0, 4, **Lin),
+                                 Ax("gamma_1", -0.5, 1.0, 4, **Lin), {},
+                                 DriveSpec.gaussian(0.5, OMEGA, 1.0)),
+    "one-point-axes": (Ax("gamma_tl", -0.5, -0.5, 1, **Lin), Ax("gamma_1", 2.0, 2.0, 1), {}, None),
+    "one-point-beside-many": (Ax("gamma_1", 2.0, 2.0, 1), Ax("gamma_0", -0.1, 0.1, 3, **Lin),
+                              {}, None),
 }
 
 
@@ -401,16 +413,15 @@ def rate_spec(name, objective, seed):
                            objective=objective, n_in=0.3)
 
 
-def count_params_built(monkeypatch, spec):
-    """How many DetectorParams run_sweep(spec) builds."""
+def count_built(monkeypatch, spec):
+    """How many DetectorParams and DriveSpec run_sweep(spec) builds."""
     built = []
-    params_init = DetectorParams.__post_init__
+    for cls in (DetectorParams, DriveSpec):
+        def spy(self, init=cls.__post_init__):
+            built.append(self)
+            init(self)
 
-    def spy(self):
-        built.append(self)
-        params_init(self)
-
-    monkeypatch.setattr(DetectorParams, "__post_init__", spy)
+        monkeypatch.setattr(cls, "__post_init__", spy)
     sweep.run_sweep(spec)
     return len(built)
 
@@ -447,37 +458,49 @@ class TestRateBroadcast:
         assert json.loads(res.to_json())["failed_cells"] == [list(c) for c in res.errors]
 
     def test_checks_each_axis_value_once(self, monkeypatch):
-        # a rate objective builds no cell
-        spec = rate_spec("rates-below-0", "eta", 1)
-        assert count_params_built(monkeypatch, spec) == 5 + 5
+        # a rate objective builds no cell, and each axis is checked by one
+        # array call of its field's rule, not by a build per value
+        for name in ("rates-below-0", "kappa-below-0", "sigma-through-0-gaussian"):
+            assert count_built(monkeypatch, rate_spec(name, "eta", 1)) == 0
 
 
-#: name -> (axis1, axis2 or None, pinned base rates) of continuous-drive
-#: pm_at_tm grids
+#: name -> (axis1, axis2 or None, pinned base rates, drive or None for
+#: continuous) of pm_at_tm grids. In the pulse grids no two cells that can be
+#: built share an envelope, so each is its own one-cell call, as alone.
 PM_GRIDS = {
     "t_m-through-0": (Ax("t_m", -5.0, 10.0, 4, **Lin), Ax("gamma_tl", 0.5, 2.0, 3),
-                      dict(gamma_0=0.0)),
+                      dict(gamma_0=0.0), None),
     "gamma_0-and-rates-below-0": (Ax("gamma_0", -0.1, 0.1, 5, **Lin),
-                                  Ax("gamma_tl", -1.0, 1.0, 5, **Lin), {}),
+                                  Ax("gamma_tl", -1.0, 1.0, 5, **Lin), {}, None),
     "alpha_sq-below-0": (Ax("alpha_sq", -1.0, 1.0, 5, **Lin), Ax("gamma_1", -0.5, 2.0, 4, **Lin),
-                         dict(gamma_0=0.0)),
+                         dict(gamma_0=0.0), None),
     "gamma_res-and-kappa": (Ax("gamma_res", -1.0, 1.0, 3, **Lin), Ax("kappa", -1.0, 1.0, 3, **Lin),
-                            dict(gamma_0=0.0)),
-    "one-axis-alpha_sq": (Ax("alpha_sq", -0.5, 2.0, 6, **Lin), None, dict(gamma_0=0.0)),
-    "one-axis-t_m": (Ax("t_m", -1.0, 3.0, 5, **Lin), None, dict(gamma_0=0.0)),
+                            dict(gamma_0=0.0), None),
+    "one-axis-alpha_sq": (Ax("alpha_sq", -0.5, 2.0, 6, **Lin), None, dict(gamma_0=0.0), None),
+    "one-axis-t_m": (Ax("t_m", -1.0, 3.0, 5, **Lin), None, dict(gamma_0=0.0), None),
+    "one-point-beside-many": (Ax("gamma_tl", 1.5, 1.5, 1), Ax("t_m", -1.0, 3.0, 3, **Lin),
+                              dict(gamma_0=0.0), None),
+    "sigma-through-0-gaussian": (Ax("sigma", -1.0, 2.0, 4, **Lin), None, dict(gamma_0=0.0),
+                                 DriveSpec.gaussian(0.5, OMEGA, 1.0)),
+    "sigma-through-0-exponential": (Ax("sigma", -1.0, 2.0, 3, **Lin),
+                                    Ax("gamma_0", -0.1, 0.0, 2, **Lin), {},
+                                    DriveSpec.exponential(0.5, OMEGA, 1.0)),
+    "kappa-through-0-gaussian": (Ax("kappa", -1.0, 2.0, 3, **Lin),
+                                 Ax("gamma_0", -0.1, 0.0, 2, **Lin), {},
+                                 DriveSpec.gaussian(0.5, OMEGA, 1.0)),
 }
 
 
 class TestContinuousPm:
-    """Continuous-drive pm_at_tm cells fail where one cell alone fails."""
+    """pm_at_tm cells fail where one cell alone fails."""
 
     @pytest.mark.parametrize("name", list(PM_GRIDS))
     def test_output_is_byte_identical_to_per_cell(self, name, tmp_path):
-        axis1, axis2, pinned = PM_GRIDS[name]
+        axis1, axis2, pinned, drive = PM_GRIDS[name]
         for seed in (1, 2, 3):
             spec = sweep.SweepSpec(axis1=axis1, axis2=axis2,
                                    params=seeded_params(seed, **{"gamma_res": 0.0, **pinned}),
-                                   drive=DriveSpec.continuous(0.1, OMEGA), t_m=5.0)
+                                   drive=drive or DriveSpec.continuous(0.1, OMEGA), t_m=5.0)
             res, ref = sweep.run_sweep(spec), per_cell_sweep(spec)
             assert res.errors and len(res.errors) < res.values.size
             assert res.to_json() == ref.to_json()
@@ -486,10 +509,10 @@ class TestContinuousPm:
             assert (tmp_path / "res.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_checks_each_axis_value_once(self, monkeypatch):
-        # each axis value is checked once, then only the 3 x 3 cells whose
-        # gamma_tl and gamma_0 are both >= 0 are built
+        # each axis is checked by one array call, then only the 3 x 3 cells
+        # whose gamma_tl and gamma_0 are both >= 0 are built
         spec = replace(rate_spec("rates-below-0", "eta", 1), objective="pm_at_tm", t_m=5.0)
-        assert count_params_built(monkeypatch, spec) == 5 + 5 + 3 * 3
+        assert count_built(monkeypatch, spec) == 3 * 3
 
 
 class TestExports:
