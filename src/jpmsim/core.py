@@ -25,20 +25,20 @@ _INF = math.inf
 
 
 def _require_finite(name: str, value, minimum: float = -sys.float_info.max,
-                    strict: bool = False, message: str | None = None):
+                    strict: bool = False, message: str | None = None, mask: bool = False):
     """Whether ``value`` of the field ``name`` is a finite number >= ``minimum``
-    (> if ``strict``); a bool is not a number. An array, such as a sweep axis,
-    gives the mask of its elements that are. A scalar that is not raises
-    ValueError naming ``name``: "must be a finite number", or ``message``,
-    by default "must be >= minimum"."""
+    (> if ``strict``); a bool or an array is not a number. With ``mask`` an
+    array, such as a sweep axis, gives the mask of its elements that are. A
+    value that is not raises ValueError naming ``name``: "must be a finite
+    number", or ``message``, by default "must be >= minimum"."""
     # a float, the common case, passes here without the branches below
     if value.__class__ is float and ((minimum < value < _INF) if strict
                                      else (minimum <= value < _INF)):
         return True
-    if isinstance(value, np.ndarray):
+    if mask and isinstance(value, np.ndarray):
         return ((value > minimum) if strict else (value >= minimum)) & (value < _INF)
     try:
-        finite = math.isfinite(value) and not isinstance(value, bool)
+        finite = not isinstance(value, (bool, np.ndarray)) and math.isfinite(value)
     except (TypeError, OverflowError):  # not a number, or an int beyond float range
         finite = False
     if not finite:
@@ -117,7 +117,7 @@ class DetectorParams:
     def check(name: str, value):
         """The rule of the rate ``name`` (see __post_init__): for an array, the
         mask of the values it may take; a scalar it may not take raises."""
-        return _require_finite(name, value, 0.0)
+        return _require_finite(name, value, 0.0, mask=True)
 
     @property
     def gamma_tilde(self) -> float:
@@ -168,23 +168,22 @@ class DriveSpec:
         for name in ("alpha_sq", "omega_s", "kappa", "sigma", "t0"):
             value = getattr(self, name)
             if value is not None or self.kind is _SHAPE_KINDS.get(name):
-                self.check(name, value)
+                self.check(name, value, mask=False)
         if self.kind is DriveKind.TABULATED and (self.table_t is None or self.table_f is None):
             raise ValueError("tabulated drive requires sample arrays")
 
-    def check(self, name: str, value):
+    def check(self, name: str, value, mask: bool = True):
         """The rule of the field ``name``: for an array, the mask of the values
-        it may take; a scalar it may not take raises. kappa and sigma must be
-        > 0 on the kind they shape; elsewhere, like t0, only finite if given."""
-        if name == "alpha_sq":
-            return _require_finite(name, value, 0.0)
-        if name == "omega_s":
-            return _require_finite(name, value, 0.0, strict=True)
+        it may take (an array raises without ``mask``); a scalar it may not
+        take raises. kappa and sigma must be > 0 on the kind they shape;
+        elsewhere, like t0, only finite if given."""
+        if name in ("alpha_sq", "omega_s"):
+            return _require_finite(name, value, 0.0, name == "omega_s", mask=mask)
         if self.kind is _SHAPE_KINDS.get(name):
             if value is None:
                 raise ValueError(_SHAPE_NEEDS[name])
-            return _require_finite(name, value, 0.0, strict=True, message=_SHAPE_NEEDS[name])
-        return _require_finite(name, value)
+            return _require_finite(name, value, 0.0, True, _SHAPE_NEEDS[name], mask)
+        return _require_finite(name, value, mask=mask)
 
     @classmethod
     def continuous(cls, alpha_sq: float, omega_s: float) -> "DriveSpec":

@@ -14,10 +14,10 @@ f(t) otherwise. A continuous drive makes the system linear and
 time-invariant, and it is propagated exactly with the matrix exponential
 (:func:`propagate`). Pulse drives are integrated by :func:`integrate_pulses`:
 LSODA, which switches to a stiff method when the rates call for it, with the
-exact Jacobian A0 + omega_R f(t) B. It takes N cells that share one envelope
-as a single 4N-state system, so a pulse sweep makes one solver call where it
-would make N. This module assumes a single measurement event and no dark
-counts: gamma_res and gamma_0 must be zero.
+exact Jacobian A0 + omega_R f(t) B. :func:`pm_at` gives pm of N cells in one
+call, as one expm of a stack of generators or one LSODA call of a 4N-state
+system, where a sweep would make N. This module assumes a single measurement
+event and no dark counts: gamma_res and gamma_0 must be zero.
 """
 
 from __future__ import annotations
@@ -29,12 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-# Pulses go through odeint, which runs the same LSODA: in scipy 1.17.1,
-# solve_ivp(method="LSODA") takes a reference to its LSODA work arrays on
-# every step and never drops it, so each call leaks them (about 150 bytes per
-# state component with a banded Jacobian) and memory grows with every stacked
-# sweep. solve_ivp stays importable as meanfield.solve_ivp, the name the
-# benchmark's tracer (perfbench/spans.py) wraps.
+# Pulses go through odeint: in scipy 1.17.1 solve_ivp(method="LSODA") leaks
+# its LSODA work arrays on every step (about 150 bytes per state component).
+# solve_ivp stays importable for the benchmark's tracer (perfbench/spans.py).
 from scipy.integrate import ODEintWarning, odeint, solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
@@ -167,16 +164,10 @@ def propagate(gen: np.ndarray, y0, t_eval: np.ndarray) -> np.ndarray:
 
 
 def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
-    if params.gamma_0 != 0.0:
-        raise ValueError(
-            "mean-field closure assumes gamma_0 = 0 (no dark counts); "
-            f"got gamma_0 = {params.gamma_0}"
-        )
-    if params.gamma_res != 0.0:
-        raise ValueError(
-            "mean-field closure assumes gamma_res = 0 (single measurement); "
-            f"got gamma_res = {params.gamma_res}"
-        )
+    for name, assumes in (("gamma_0", "no dark counts"), ("gamma_res", "single measurement")):
+        if getattr(params, name) != 0.0:
+            raise ValueError(f"mean-field closure assumes {name} = 0 ({assumes}); "
+                             f"got {name} = {getattr(params, name)}")
     if not abs(drive.omega_s - params.omega_0) <= 1e-12 * params.omega_0:
         raise ValueError(
             f"only resonant drive supported: omega_s = {drive.omega_s} "
@@ -199,8 +190,7 @@ def integrate(
     InvariantViolation rather than being clipped.
     """
     _check_preconditions(params, drive)
-    if cfg is None:
-        cfg = IntegratorConfig()
+    cfg = cfg or IntegratorConfig()
     t_end = cfg.t_end
     if t_end is None and drive.kind is DriveKind.CONTINUOUS:
         if params.gamma_tilde == 0:
@@ -213,7 +203,7 @@ def integrate(
 
     if drive.kind is DriveKind.CONTINUOUS:
         a0, b = generator(params)
-        with np.errstate(invalid="ignore"):  # wr = inf gives NaN, which propagate reports
+        with np.errstate(over="ignore", invalid="ignore"):  # wr = inf gives NaN, reported below
             gen = a0 + rabi_frequency(params, drive) * b
         y = propagate(gen, GROUND, t_eval)
     else:
@@ -246,9 +236,7 @@ def integrate_pulses(
     env = envelope_for(cells[0][1])
 
     n = len(cells)
-    gens = [generator(params) for params, _ in cells]
-    a0 = np.array([a for a, _ in gens])  # wb[k] = omega_R,k B; f(t) is shared
-    wb = np.array([rabi_frequency(p, d) * b for (p, d), (_, b) in zip(cells, gens)])
+    a0, wb = _stacked_generators(cells)  # wb[k] = omega_R,k B; f(t) is shared
     band_col = 4 * np.arange(n)[:, None, None] + np.arange(4)
     band_a0, band_wb = np.zeros((7, 4 * n)), np.zeros((7, 4 * n))
     band_a0[_BAND_ROW, band_col] = a0
@@ -261,8 +249,9 @@ def integrate_pulses(
         return band_a0 + env(t) * band_wb
 
     def solve(samples, y0, max_step):
-        # samples[0] is the start time; an LSODA failure warns and is checked
-        with warnings.catch_warnings():
+        # samples[0] is the start time; an LSODA failure warns and is checked,
+        # and overflow shows up as a failure or a non-finite sample
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("ignore", ODEintWarning)
             y, info = odeint(rhs, y0, samples, Dfun=jac, ml=3, mu=3, rtol=REL_TOL,
                              atol=ABS_TOL, hmax=max_step, mxstep=MAX_STEPS,
@@ -285,9 +274,44 @@ def integrate_pulses(
     return y.reshape(n, 4, -1)
 
 
+def _stacked_generators(cells: Sequence[tuple[DetectorParams, DriveSpec]]):
+    """The stacks (A0_k) and (omega_R,k B) of N cells, each of shape (N, 4, 4)."""
+    gens = [generator(params) for params, _ in cells]
+    with np.errstate(over="ignore", invalid="ignore"):  # wr = inf gives NaN, the callers report
+        wb = np.array([rabi_frequency(p, d) * b for (p, d), (_, b) in zip(cells, gens)])
+    return np.array([a for a, _ in gens]), wb
+
+
+def pm_at(cells: Sequence[tuple[DetectorParams, DriveSpec]], t_m) -> np.ndarray:
+    """pm of N cells (params, drive) with one :func:`envelope_key`, cell k at
+    its own time t_m[k] > 0; each cell must pass :func:`_check_preconditions`.
+    Continuous cells are one expm of the stack of A0 + omega_R B scaled by t_m,
+    slice by slice, so each gets the floats :func:`integrate` gives it. Pulse
+    cells are one :func:`integrate_pulses` call on the grid of 0 and every t_m.
+    A non-finite sample or a breached invariant raises, for the whole call."""
+    key, t_m = envelope_key(cells[0][1]), np.asarray(t_m, dtype=float)
+    if any(envelope_key(drive) != key for _, drive in cells) or not np.all(t_m > 0):
+        raise ValueError("cells must share one envelope, each with t_m > 0")
+    if key[0] is not DriveKind.CONTINUOUS:
+        t_eval = np.concatenate(([0.0], np.unique(t_m)))
+        y = integrate_pulses(cells, t_eval)
+        _check_invariants(t_eval, y)
+        return y[np.arange(len(cells)), 3, np.searchsorted(t_eval, t_m)]
+    a0, wb = _stacked_generators(cells)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in propagate
+        y = expm((a0 + wb) * t_m[:, None, None]) @ GROUND
+    bad = ~np.isfinite(y).all(axis=1)
+    if bad.any():
+        raise IntegrationError("propagator is not finite", t_m[np.argmax(bad)])
+    _check_invariants(t_m, y.T)  # one sample per cell, at its own t_m
+    return y[:, 3]
+
+
 def envelope_key(drive: DriveSpec) -> tuple:
-    """The fields of a pulse drive that shape its envelope: drives with equal
-    keys can share one :func:`integrate_pulses` call."""
+    """The fields of a drive that shape its envelope: drives with equal keys,
+    such as all continuous drives, can share one :func:`pm_at` call."""
+    if drive.kind is DriveKind.CONTINUOUS:
+        return (drive.kind,)
     return (drive.kind, drive.kappa, drive.sigma, drive.t0, drive.paper_literal,
             drive.table_t, drive.table_f)
 

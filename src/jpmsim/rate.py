@@ -24,16 +24,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import TWO_PI, DetectorParams, strict_json
+from .core import TWO_PI, DetectorParams, _require_finite, strict_json
 from .meanfield import propagate
 
 HBAR_SI = 1.054571817e-34  # J s
 PER_NS_TO_PER_S = 1e9
-
-
-def _require_flux(n_in) -> None:
-    if isinstance(n_in, bool) or not 0.0 <= n_in < math.inf:  # False for NaN
-        raise ValueError(f"n_in must be a finite number >= 0, got {n_in!r}")
 
 
 def _finite(x, message: str):
@@ -56,7 +51,7 @@ def beta_coupling(params: DetectorParams) -> float:
 def generator(params: DetectorParams, n_in: float) -> np.ndarray:
     """Generator G of the rate equations, d(p0, p1, pm)/dt = G p, under flux
     n_in [photons/ns]. Each column sums to zero."""
-    _require_flux(n_in)
+    _require_finite("n_in", n_in, 0.0)
     p = params
     bn = beta_coupling(p) * n_in
     return np.array([[-(bn + p.gamma_0), bn + p.gamma_tl + p.gamma_rel, p.gamma_res],
@@ -138,7 +133,7 @@ def steady_state(params: DetectorParams, n_in: float):
     p1 = c p0 with c = bN / (bN + gamma_tl + gamma_1 + gamma_rel) and
     pm = (gamma_0 + gamma_1 c) p0 / gamma_res, closed by normalization.
     """
-    _require_flux(n_in)
+    _require_finite("n_in", n_in, 0.0)
     p = params
     bn = beta_coupling(p) * n_in
     c = np.divide(bn, bn + p.gamma_tl + p.gamma_1 + p.gamma_rel)
@@ -179,8 +174,8 @@ def efficiency_finite_flux(params: DetectorParams, n_in: float) -> float:
     ``2 pi n_in``. With this scaling the n_in -> 0 limit reproduces
     :func:`efficiency`.
     """
-    if n_in <= 0:
-        raise ValueError("finite-flux efficiency needs n_in > 0")
+    _require_finite("n_in", n_in, 0.0, strict=True,
+                    message="finite-flux efficiency needs n_in > 0")
     _, dark, bright = count_rates(params, TWO_PI * n_in)
     return bright / n_in
 
@@ -291,7 +286,7 @@ class EfficiencyReport:
 
 def build_report(params: DetectorParams, n_in: float = 0.0) -> EfficiencyReport:
     """Assemble the efficiency report; count rates evaluated at flux n_in."""
-    _require_flux(n_in)
+    _require_finite("n_in", n_in, 0.0)
     det = eta_max(params)
     loss = eta_loss(params)
     eta = loss * det

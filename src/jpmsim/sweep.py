@@ -5,14 +5,12 @@ call of the rule its field has for scalars (``DetectorParams.check``,
 ``DriveSpec.check``), which gives a mask of the cells that can be built
 beside the mesh of swept values. A rate objective is evaluated on the whole
 mesh in one call of the rate closed forms, which broadcast over array-valued
-rates. The pm_at_tm cells of a pulse drive that share one envelope go into
-one stacked :func:`meanfield.integrate_pulses` call. Continuous-drive cells
-run one after another; a thread pool measured slower, because each cell
-holds the interpreter lock. Failures are isolated per cell so a stiff corner
-cannot kill a whole run: a stacked call that fails, or a cell of it that
-breaks an invariant, is retried in halves down to single cells, and a cell
-without a finite value is reported failed. Rate-like axes default to log
-scale since the interesting structure spans decades.
+rates. The pm_at_tm cells that share one envelope, all continuous-drive
+cells among them, go into one :func:`meanfield.pm_at` call. Failures are
+isolated per cell so a stiff corner cannot kill a whole run: a call that
+fails is retried in halves down to single cells, and a cell without a finite
+value is reported failed. Rate-like axes default to log scale since the
+interesting structure spans decades.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import meanfield, rate
-from .core import DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int, strict_json
+from .core import DetectorParams, DriveSpec, _require_finite, _require_int, strict_json
 
 #: Each sweepable name and the SweepSpec field a cell sets it on: the
 #: detector parameters, the drive or the measurement time.
@@ -145,7 +143,7 @@ def _axis_ok(spec: SweepSpec, name: str, grid: np.ndarray) -> np.ndarray:
     """The mask of the values of an axis that a cell can take, from one array
     call of the field's rule; t_m must be > 0 only where pm_at_tm integrates to it."""
     if name == "t_m":
-        return _require_finite(name, grid, 0.0, strict=True) | (spec.objective != "pm_at_tm")
+        return _require_finite(name, grid, 0.0, True, mask=True) | (spec.objective != "pm_at_tm")
     return getattr(spec, PARAM_TARGETS[name]).check(name, grid)
 
 
@@ -166,50 +164,42 @@ def _rate_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
     return np.where(built, values, np.nan)
 
 
-def _pm_at_pulses(group: list, values: np.ndarray) -> None:
-    """pm_at_tm of pulse cells (idx, params, drive, t_m) that share one
-    envelope, in one stacked integration up to the largest t_m. If the call
-    fails, or a cell of it breaks an invariant, each half of the group is
-    tried again the same way, so one failing cell costs about 2 log2(N)
-    calls, not N. A single cell that fails is left NaN; its call is the one
-    :func:`meanfield.integrate` makes for it alone."""
-    t_eval = np.concatenate(([0.0], np.unique([t_m for *_, t_m in group])))
+def _pm_at_cells(group: list, values: np.ndarray) -> None:
+    """pm_at_tm of cells (idx, params, drive, t_m) that share one envelope, in
+    one :func:`meanfield.pm_at` call. If it fails, each half of the group is
+    tried again the same way, so one failing cell costs about 2 log2(N) calls,
+    not N. A single cell that fails is left NaN."""
     try:
-        y = meanfield.integrate_pulses([(p, d) for _, p, d, _ in group], t_eval)
-        meanfield._check_invariants(t_eval, y)
+        pm = meanfield.pm_at([(p, d) for _, p, d, _ in group], [t_m for *_, t_m in group])
     except Exception:  # isolated by halving
         if len(group) > 1:
-            _pm_at_pulses(group[:len(group) // 2], values)
-            _pm_at_pulses(group[len(group) // 2:], values)
+            _pm_at_cells(group[:len(group) // 2], values)
+            _pm_at_cells(group[len(group) // 2:], values)
         return
-    for (idx, *_, t_m), y_k in zip(group, y):
-        values[idx] = y_k[3, np.searchsorted(t_eval, t_m)]
+    for (idx, *_), pm_k in zip(group, pm):
+        values[idx] = pm_k
 
 
 def _pm_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
-    """pm_at_tm of each cell that can be built; the cells of a pulse drive
-    are gathered by envelope and integrated stacked. A cell that fails is NaN."""
+    """pm_at_tm of each cell that can be built; the cells are gathered by
+    envelope, all continuous-drive cells into one group, and each group is
+    one :func:`meanfield.pm_at` call. A cell that fails is NaN."""
     values = np.full(built.shape, np.nan)
-    stacked = spec.drive.kind is not DriveKind.CONTINUOUS
     swept = {t: {name: m for name, m in mesh.items() if PARAM_TARGETS[name] == t}
              for t in ("params", "drive")}
-    groups = {}  # envelope key -> pulse cells that share it
+    groups = {}  # envelope key -> cells that share it
     for idx in zip(*np.nonzero(built)):
         # the spec's own detector or drive where none of its fields is swept
         params, drive = (replace(getattr(spec, t), **{name: m[idx] for name, m in fields.items()})
                          if fields else getattr(spec, t) for t, fields in swept.items())
         t_m = mesh["t_m"][idx] if "t_m" in mesh else spec.t_m
-        with contextlib.suppress(Exception):  # per-cell isolation
-            if stacked:
-                # checked per cell, as it takes two fields at once; a cell
-                # that fails alone stays out of its group
-                meanfield._check_preconditions(params, drive)
-                groups.setdefault(meanfield.envelope_key(drive), []).append(
-                    (idx, params, drive, t_m))
-            else:
-                values[idx] = _pm_at(params, drive, t_m)
+        # checked per cell, as it takes two fields at once; a failing cell stays out
+        with contextlib.suppress(ValueError):
+            meanfield._check_preconditions(params, drive)
+            groups.setdefault(meanfield.envelope_key(drive), []).append(
+                (idx, params, drive, t_m))
     for group in groups.values():
-        _pm_at_pulses(group, values)
+        _pm_at_cells(group, values)
     return values
 
 
@@ -219,11 +209,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Each axis is checked by one array call of its field's rule, for every
     objective: a cell is built only when all of its values pass, and is NaN
     otherwise. A rate objective is evaluated on the whole grid in one
-    broadcast call. The pm_at_tm cells of a pulse drive are integrated in one
-    stacked call per envelope (one in all unless ``sigma`` or ``kappa`` is
-    swept); a continuous-drive cell is integrated on its own. Deterministic
-    for a given spec; every cell without a finite value is NaN and listed in
-    the result.
+    broadcast call. The pm_at_tm cells are one :func:`meanfield.pm_at` call
+    per envelope: one in all for a continuous drive, and for a pulse drive
+    unless ``sigma`` or ``kappa`` is swept. Deterministic for a given spec;
+    every cell without a finite value is NaN and listed in the result.
     """
     axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
     grids = [ax.grid() for ax in axes]
@@ -234,13 +223,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     values = (_pm_values if spec.objective == "pm_at_tm" else _rate_values)(spec, mesh, built)
     failed = ~np.isfinite(values)
     values[failed] = np.nan
-    return SweepResult(
-        spec=spec,
-        axis1_values=grids[0],
-        axis2_values=grids[1] if spec.axis2 is not None else None,
-        values=values,
-        errors=tuple(map(tuple, np.argwhere(failed).tolist())),
-    )
+    return SweepResult(spec=spec, axis1_values=grids[0],
+                       axis2_values=grids[1] if spec.axis2 is not None else None,
+                       values=values, errors=tuple(map(tuple, np.argwhere(failed).tolist())))
 
 
 @dataclass(frozen=True)
@@ -302,8 +287,5 @@ def saturation_curve(
     alpha_grid,
 ) -> np.ndarray:
     """pm(t_m) versus drive amplitude at the baseline gamma_tl."""
-    out = np.empty(len(alpha_grid))
-    for i, a2 in enumerate(alpha_grid):
-        d = replace(drive, alpha_sq=float(a2))
-        out[i] = 0.0 if a2 == 0.0 else _pm_at(params, d, t_m)
-    return out
+    return np.array([0.0 if a2 == 0.0 else _pm_at(params, replace(drive, alpha_sq=float(a2)), t_m)
+                     for a2 in alpha_grid])

@@ -269,7 +269,7 @@ class TestConfig:
 
 AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}
 #: Problems that are numerical failures and exit 3; every other case exits 2.
-NUMERICAL = {"keeps growing", "collides"}
+NUMERICAL = {"keeps growing", "collides", "p0 = nan"}
 #: --config files that test_malformed_input_exits_2 writes: a JSON true or a
 #: float is not an integer or a rate
 CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"order": True},
@@ -355,6 +355,9 @@ CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"ord
       "--kappa", "1"], None, "order"),
     (["sweep", "--format", "json"],
      {"axis1": AXIS, "params": {"gamma_1": 10**400}, "t_m": 5.0}, "gamma_1"),
+    # omega_R overflows: LSODA's NaN states fail the invariants, without a warning
+    (["simulate", "--drive", "gauss", "--sigma", "1", "--alpha-sq", "1e300", "--gamma-tl", "1e10"],
+     None, "p0 = nan"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
     monkeypatch.chdir(tmp_path)

@@ -86,7 +86,11 @@ FIELD_BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, "1", True])
+# an array is no field value, even one whose elements all are valid
+@pytest.mark.parametrize("value", [np.nan, np.inf, "1", True, np.array([-1.0, 1.0]),
+                                   np.array([-5.0]), np.array([1.0]), np.array(1.0)],
+                         ids=["nan", "inf", "str", "bool", "array", "one-negative",
+                              "one-positive", "0-d"])
 @pytest.mark.parametrize("name", sorted(FIELD_BUILDERS))
 def test_non_finite_or_non_numeric_field_rejected(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be a finite number"):

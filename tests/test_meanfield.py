@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from jpmsim import analytic, meanfield, pulses, rate
-from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
+from jpmsim.core import DetectorParams, DriveKind, DriveSpec, omega_from_ghz
 
 OMEGA = omega_from_ghz(5.0)
 
@@ -258,6 +260,58 @@ class TestPulseLSODA:
         cells = [(make_params(), DriveSpec.gaussian(1.0, OMEGA, 1.0))]
         with pytest.raises(ValueError, match="t_eval"):
             meanfield.integrate_pulses(cells, np.array(t_eval))
+
+
+def pm_alone(params, drive, t_m):
+    cfg = meanfield.IntegratorConfig(t_end=t_m, n_samples=2)
+    return meanfield.integrate(params, drive, cfg).pm[-1]
+
+
+class TestPmAt:
+    """pm of N cells, each at its own t_m, in one call."""
+
+    def test_continuous_cells_are_bit_identical_to_integrate(self):
+        rng = np.random.default_rng(11)
+        cells, t_m = [], rng.uniform(0.1, 40.0, size=30)
+        for _ in range(30):
+            g = rng.uniform(0.01, 3.0, size=3)
+            cells.append((make_params(gamma_tl=g[0], gamma_1=g[1], gamma_rel=0.2 * g[2]),
+                          DriveSpec.continuous(rng.uniform(0.0, 2.0), OMEGA)))
+        pm = meanfield.pm_at(cells, t_m)
+        assert pm.shape == (30,)
+        assert all(pm[k] == pm_alone(p, d, t) for k, ((p, d), t) in enumerate(zip(cells, t_m)))
+
+    def test_pulse_cells_match_integrate(self):
+        drive = DriveSpec.gaussian(1.0, OMEGA, 1.0)
+        cells = [(make_params(gamma_tl=g), replace(drive, alpha_sq=a))
+                 for g, a in ((0.5, 0.2), (1.0, 1.0), (2.0, 3.0))]
+        t_m = [15.0, 5.0, 15.0]  # one sample at 5 and one at 15 serve all three
+        pm = meanfield.pm_at(cells, t_m)
+        for k, ((p, d), t) in enumerate(zip(cells, t_m)):
+            assert abs(pm[k] - pm_alone(p, d, t)) < 1e-8
+
+    def test_non_finite_cell_fails_the_call(self):
+        cells = [(make_params(), DriveSpec.continuous(0.1, OMEGA)),
+                 (make_params(gamma_tl=1e150), DriveSpec.continuous(0.1, OMEGA))]
+        with pytest.raises(meanfield.IntegrationError, match="not finite"):
+            meanfield.pm_at(cells, [10.0, 10.0])
+
+    @pytest.mark.parametrize("second,t_m", [
+        (DriveSpec.gaussian(1.0, OMEGA, 1.0), 5.0),  # a continuous and a pulse drive
+        (DriveSpec.continuous(0.3, OMEGA), 0.0),
+        (DriveSpec.continuous(0.3, OMEGA), -1.0),
+        (DriveSpec.continuous(0.3, OMEGA), np.nan),
+    ], ids=["two-envelopes", "t_m-0", "t_m-below-0", "t_m-nan"])
+    def test_rejects_cells_it_cannot_stack(self, second, t_m):
+        cells = [(make_params(), DriveSpec.continuous(0.1, OMEGA)), (make_params(), second)]
+        with pytest.raises(ValueError, match="one envelope, each with t_m > 0"):
+            meanfield.pm_at(cells, [5.0, t_m])
+
+    def test_continuous_drives_share_one_key(self):
+        # kappa and sigma shape no continuous drive
+        keys = {meanfield.envelope_key(DriveSpec(DriveKind.CONTINUOUS, a, OMEGA, kappa=k))
+                for a, k in ((0.1, None), (2.0, 1.0), (0.5, 3.0))}
+        assert len(keys) == 1
 
 
 class TestGenerator:

@@ -70,10 +70,11 @@ class TestGenerator:
             cols = rate.generator(p, rng.uniform(0, 5)).sum(axis=0)
             assert np.max(np.abs(cols)) < 1e-15
 
-    @pytest.mark.parametrize("n_in", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("n_in", [-1.0, math.nan, math.inf, True, np.array([1.0])])
     def test_bad_flux_rejected(self, n_in):
         p = make_params(gamma_res=1.0)
-        for call in (rate.generator, rate.steady_state, rate.build_report):
+        for call in (rate.generator, rate.steady_state, rate.build_report,
+                     rate.efficiency_finite_flux):
             with pytest.raises(ValueError, match="n_in"):
                 call(p, n_in)
 
@@ -168,6 +169,11 @@ class TestEfficiency:
                         gamma_rel=0.01, gamma_res=50.0)
         assert rate.efficiency_finite_flux(p, 1e-7) == pytest.approx(
             rate.efficiency(p), rel=1e-2)
+
+    @pytest.mark.parametrize("n_in", [0.0, -1.0])
+    def test_finite_flux_needs_positive_flux(self, n_in):
+        with pytest.raises(ValueError, match="^finite-flux efficiency needs n_in > 0$"):
+            rate.efficiency_finite_flux(make_params(gamma_res=1.0), n_in)
 
     def test_finite_flux_decreases_with_saturation(self):
         p = make_params(gamma_tl=1.0, gamma_1=1.0, gamma_res=50.0,

@@ -8,7 +8,7 @@ import pytest
 
 from jpmsim import meanfield, rate, sweep
 from jpmsim.cli import main
-from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
+from jpmsim.core import DetectorParams, DriveKind, DriveSpec, omega_from_ghz
 
 OMEGA = omega_from_ghz(5.0)
 
@@ -235,8 +235,32 @@ def stacked_spec(name):
     return sweep.SweepSpec(axis1=axis1, axis2=axis2, params=params, drive=drive, t_m=t_m)
 
 
+def spy_pm_at(monkeypatch, fails=lambda cells: False):
+    """Two lists that record, from now on, the number of cells of each
+    meanfield.pm_at call and one entry per meanfield.integrate call; a pm_at
+    call whose cells ``fails`` raises IntegrationError."""
+    calls, integrated = [], []
+    pm_at, integrate = meanfield.pm_at, meanfield.integrate
+
+    def spy(cells, *args):
+        calls.append(len(cells))
+        if fails(cells):
+            raise meanfield.IntegrationError("injected", 0.0)
+        return pm_at(cells, *args)
+
+    def spy_integrate(*args, **kwargs):
+        integrated.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(meanfield, "pm_at", spy)
+    monkeypatch.setattr(meanfield, "integrate", spy_integrate)
+    return calls, integrated
+
+
 class TestStackedPulses:
-    """The pulse cells of a pm_at_tm sweep share one LSODA call per envelope."""
+    """The pm_at_tm cells of a sweep share one meanfield.pm_at call per
+    envelope: one LSODA call per pulse envelope, one stack of expm for all
+    continuous-drive cells."""
 
     @pytest.mark.parametrize("name", list(STACKED_GRIDS))
     def test_cells_match_one_cell_integrate_and_dop853(self, name, dop853_pulse):
@@ -252,20 +276,28 @@ class TestStackedPulses:
             assert abs(res.values[idx] - alone) < 1e-8
             assert abs(res.values[idx] - ref) < 1e-8
 
-    def test_one_call_per_envelope(self, monkeypatch):
-        calls = []
-        integrate_pulses = meanfield.integrate_pulses
+    @pytest.mark.parametrize("continuous", [False, True], ids=["pulse", "continuous"])
+    def test_one_call_per_envelope(self, monkeypatch, continuous):
+        # sigma shapes a Gaussian's envelope, not a continuous drive's
+        calls, integrated = spy_pm_at(monkeypatch)
+        for name, pulse_calls in (("gauss-relaxation", [6]), ("swept-sigma", [2, 2, 2])):
+            spec = stacked_spec(name)
+            if continuous:
+                spec = replace(spec, drive=DriveSpec.continuous(1.0, OMEGA))
+            calls.clear()
+            assert sweep.run_sweep(spec).errors == ()
+            assert calls == ([6] if continuous else pulse_calls)
+        assert integrated == []
 
-        def spy(cells, *args):
-            calls.append(len(cells))
-            return integrate_pulses(cells, *args)
-
-        monkeypatch.setattr(meanfield, "integrate_pulses", spy)
-        sweep.run_sweep(stacked_spec("gauss-relaxation"))
-        assert calls == [6]
-        calls.clear()
-        sweep.run_sweep(stacked_spec("swept-sigma"))
-        assert calls == [2, 2, 2]
+    @pytest.mark.parametrize("axis1", [Ax("gamma_rel", 0.01, 1.0, 8), Ax("t_m", 0.5, 40.0, 8)],
+                             ids=["gamma_rel", "t_m"])
+    def test_continuous_grid_is_one_call(self, monkeypatch, axis1):
+        spec = sweep.SweepSpec(axis1=axis1, axis2=Ax("alpha_sq", 0.01, 3.0, 8),
+                               params=make_params(gamma_rel=0.1),
+                               drive=DriveSpec.continuous(1.0, OMEGA), t_m=10.0)
+        calls, integrated = spy_pm_at(monkeypatch)
+        res = sweep.run_sweep(spec)
+        assert (calls, integrated, res.errors) == ([64], [], ())
 
     def test_non_positive_t_m_fails_its_cell(self, monkeypatch):
         # as a cell integrated alone does; the stacked grid must not take
@@ -313,29 +345,26 @@ class TestStackedPulses:
         assert json.loads(res.to_json())["failed_cells"] == [[1, 0], [1, 1], [1, 2]]
         np.testing.assert_allclose(res.values, expected.values, rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("drive", [DriveSpec.gaussian(1.0, OMEGA, 1.0),
+                                       DriveSpec.continuous(1.0, OMEGA)],
+                             ids=["pulse", "continuous"])
     @pytest.mark.parametrize("bad", [0, 5, 15])
-    def test_failed_call_is_halved(self, monkeypatch, bad):
+    def test_failed_call_is_halved(self, monkeypatch, bad, drive):
         # one cell that breaks every stacked call it is in: the halves
         # around it are integrated stacked, not cell by cell
         spec = sweep.SweepSpec(axis1=Ax("alpha_sq", 0.05, 5.0, 16), params=make_params(),
-                               drive=DriveSpec.gaussian(1.0, OMEGA, 1.0), t_m=15.0)
+                               drive=drive, t_m=15.0)
         expected = sweep.run_sweep(spec)
         bad_alpha_sq = expected.axis1_values[bad]
-        integrate_pulses = meanfield.integrate_pulses
-        calls = []
-
-        def faulty(cells, *args):
-            calls.append(len(cells))
-            if any(d.alpha_sq == bad_alpha_sq for _, d in cells):
-                raise meanfield.IntegrationError("injected", 0.0)
-            return integrate_pulses(cells, *args)
-
-        monkeypatch.setattr(meanfield, "integrate_pulses", faulty)
+        calls, _ = spy_pm_at(
+            monkeypatch, fails=lambda cells: any(d.alpha_sq == bad_alpha_sq for _, d in cells))
         res = sweep.run_sweep(spec)
         assert res.errors == ((bad,),)
         assert len(calls) <= 2 * math.log2(16) + 1 < 16
         keep = np.arange(16) != bad
         np.testing.assert_allclose(res.values[keep], expected.values[keep], rtol=0, atol=1e-8)
+        if drive.kind is DriveKind.CONTINUOUS:  # expm works slice by slice
+            assert np.array_equal(res.values[keep], expected.values[keep])
 
 
 def seeded_params(seed, **kw):
@@ -488,7 +517,17 @@ PM_GRIDS = {
     "kappa-through-0-gaussian": (Ax("kappa", -1.0, 2.0, 3, **Lin),
                                  Ax("gamma_0", -0.1, 0.0, 2, **Lin), {},
                                  DriveSpec.gaussian(0.5, OMEGA, 1.0)),
+    # omega_R, the rates and the propagator overflow, except in one corner
+    "overflow": (Ax("alpha_sq", 1e-3, 1e300, 5), Ax("gamma_tl", 0.5, 1e200, 4),
+                 dict(gamma_0=0.0), None),
 }
+
+
+def pm_spec(name, seed):
+    axis1, axis2, pinned, drive = PM_GRIDS[name]
+    return sweep.SweepSpec(axis1=axis1, axis2=axis2,
+                           params=seeded_params(seed, **{"gamma_res": 0.0, **pinned}),
+                           drive=drive or DriveSpec.continuous(0.1, OMEGA), t_m=5.0)
 
 
 class TestContinuousPm:
@@ -496,11 +535,8 @@ class TestContinuousPm:
 
     @pytest.mark.parametrize("name", list(PM_GRIDS))
     def test_output_is_byte_identical_to_per_cell(self, name, tmp_path):
-        axis1, axis2, pinned, drive = PM_GRIDS[name]
         for seed in (1, 2, 3):
-            spec = sweep.SweepSpec(axis1=axis1, axis2=axis2,
-                                   params=seeded_params(seed, **{"gamma_res": 0.0, **pinned}),
-                                   drive=drive or DriveSpec.continuous(0.1, OMEGA), t_m=5.0)
+            spec = pm_spec(name, seed)
             res, ref = sweep.run_sweep(spec), per_cell_sweep(spec)
             assert res.errors and len(res.errors) < res.values.size
             assert res.to_json() == ref.to_json()
