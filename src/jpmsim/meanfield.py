@@ -57,6 +57,10 @@ GROUND = (0.0, 1.0, 0.0, 0.0)  # (v, p0, p1, pm)
 # band (lband = uband = 3), in the column of j.
 _BAND_ROW = 3 + np.subtract.outer(np.arange(4), np.arange(4))
 
+# B of generator(): omega_R drives v by p0 - p1, and p0 and p1 by -v/2 and +v/2
+_DRIVE = np.array([[0.0, 1.0, -1.0, 0.0], [-0.5, 0.0, 0.0, 0.0],
+                   [0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
 
 class IntegrationError(RuntimeError):
     """Integration failed; ``t_fail`` holds the time of failure."""
@@ -136,11 +140,7 @@ def generator(params: DetectorParams) -> tuple[np.ndarray, np.ndarray]:
                    [0.0, 0.0, params.gamma_tl + params.gamma_rel, 0.0],
                    [0.0, 0.0, -gt, 0.0],
                    [0.0, 0.0, params.gamma_1, 0.0]])
-    b = np.array([[0.0, 1.0, -1.0, 0.0],
-                  [-0.5, 0.0, 0.0, 0.0],
-                  [0.5, 0.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, 0.0]])
-    return a0, b
+    return a0, _DRIVE.copy()
 
 
 def propagate(gen: np.ndarray, y0, t_eval: np.ndarray) -> np.ndarray:
@@ -275,11 +275,15 @@ def integrate_pulses(
 
 
 def _stacked_generators(cells: Sequence[tuple[DetectorParams, DriveSpec]]):
-    """The stacks (A0_k) and (omega_R,k B) of N cells, each of shape (N, 4, 4)."""
-    gens = [generator(params) for params, _ in cells]
+    """The stacks (A0_k) and (omega_R,k B) of N cells, each of shape (N, 4, 4),
+    filled entry by entry from arrays with the floats :func:`generator` gives."""
+    a0, gt = np.zeros((len(cells), 4, 4)), np.array([p.gamma_tilde for p, _ in cells], float)
+    a0[:, 0, 0], a0[:, 2, 2] = -0.5 * gt, -gt
+    a0[:, 1, 2] = [p.gamma_tl + p.gamma_rel for p, _ in cells]
+    a0[:, 3, 2] = [p.gamma_1 for p, _ in cells]
     with np.errstate(over="ignore", invalid="ignore"):  # wr = inf gives NaN, the callers report
-        wb = np.array([rabi_frequency(p, d) * b for (p, d), (_, b) in zip(cells, gens)])
-    return np.array([a for a, _ in gens]), wb
+        rabi = np.array([rabi_frequency(p, d) for p, d in cells])
+        return a0, rabi[:, None, None] * _DRIVE
 
 
 def pm_at(cells: Sequence[tuple[DetectorParams, DriveSpec]], t_m) -> np.ndarray:

@@ -6,11 +6,12 @@ call of the rule its field has for scalars (``DetectorParams.check``,
 beside the mesh of swept values. A rate objective is evaluated on the whole
 mesh in one call of the rate closed forms, which broadcast over array-valued
 rates. The pm_at_tm cells that share one envelope, all continuous-drive
-cells among them, go into one :func:`meanfield.pm_at` call. Failures are
-isolated per cell so a stiff corner cannot kill a whole run: a call that
-fails is retried in halves down to single cells, and a cell without a finite
-value is reported failed. Rate-like axes default to log scale since the
-interesting structure spans decades.
+cells among them, go into one :func:`meanfield.pm_at` call, as does the
+coarse grid of :func:`optimize_gamma_tl`. Failures are isolated per cell so
+a stiff corner cannot kill a whole run: a call that fails is retried in
+halves down to single cells, and a cell without a finite value is reported
+failed. Rate-like axes default to log scale since the interesting structure
+spans decades.
 """
 
 from __future__ import annotations
@@ -248,15 +249,20 @@ def optimize_gamma_tl(
 ) -> OptimizeResult:
     """Maximize pm(t_m) over gamma_tl by bounded Brent search on log scale.
 
-    A coarse log grid first brackets the maximum; if the best coarse point
-    sits on the range boundary the boundary value is returned with
-    ``at_boundary=True`` instead of pretending convergence.
+    A coarse log grid, one :func:`meanfield.pm_at` call, brackets the maximum;
+    if its best point sits on the range boundary the boundary value is
+    returned with ``at_boundary=True`` instead of pretending convergence.
     """
+    meanfield._check_preconditions(params, drive)
+    _require_finite("t_m", t_m, 0.0, strict=True)
+    if params.gamma_1 == 0:
+        raise ValueError("gamma_1 = 0: pm is 0 at every gamma_tl, so it has no maximum")
     coarse = np.linspace(math.log10(bracket[0]), math.log10(bracket[1]), COARSE_POINTS)
-    vals = [_pm_at(replace(params, gamma_tl=10.0**x), drive, t_m) for x in coarse]
+    vals = meanfield.pm_at([(replace(params, gamma_tl=10.0**x), drive) for x in coarse],
+                           np.full(COARSE_POINTS, t_m))
     k = int(np.argmax(vals))
     if k == 0 or k == COARSE_POINTS - 1:
-        return OptimizeResult(gamma_tl=10.0 ** coarse[k], pm=vals[k], at_boundary=True)
+        return OptimizeResult(gamma_tl=10.0 ** coarse[k], pm=float(vals[k]), at_boundary=True)
 
     res = minimize_scalar(
         lambda x: -_pm_at(replace(params, gamma_tl=10.0**x), drive, t_m),

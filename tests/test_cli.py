@@ -355,6 +355,8 @@ CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"ord
       "--kappa", "1"], None, "order"),
     (["sweep", "--format", "json"],
      {"axis1": AXIS, "params": {"gamma_1": 10**400}, "t_m": 5.0}, "gamma_1"),
+    # pm is 0 at every gamma_tl: no maximum, and no gamma_tl / gamma_1
+    (["optimize", "--alpha-sq", "0.1", "--t-m", "20", "--gamma-1", "0"], None, "gamma_1 = 0"),
     # omega_R overflows: LSODA's NaN states fail the invariants, without a warning
     (["simulate", "--drive", "gauss", "--sigma", "1", "--alpha-sq", "1e300", "--gamma-tl", "1e10"],
      None, "p0 = nan"),

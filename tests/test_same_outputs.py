@@ -50,7 +50,7 @@ def test_runs_cases_like_the_command_line(tmp_path):
     assert (out[0]["exit"], out[0]["stdout"], out[0]["files"]) == (0, expected + "\n", {})
     assert out[1]["exit"] == 0 and list(out[1]["files"]) == ["out.csv"]
     assert out[1]["stdout"] == "wrote out.csv\n"
-    assert out[2]["exit"] == 2 and "t_end" in out[2]["stderr"]
+    assert out[2]["exit"] == 2 and "t_m" in out[2]["stderr"]
     assert json.loads(json.dumps(out)) == out
 
 

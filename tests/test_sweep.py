@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from jpmsim import meanfield, rate, sweep
 from jpmsim.cli import main
@@ -595,7 +596,66 @@ class TestExports:
         assert data["values"][1:] == res.values[1:].tolist()
 
 
+def serial_optimize(drive, params, t_m, bracket=(1e-2, 1e2)):
+    """optimize_gamma_tl with its coarse grid as a loop of sweep._pm_at, one
+    cell at a time: the reference for the stacked coarse grid."""
+    coarse = np.linspace(math.log10(bracket[0]), math.log10(bracket[1]), sweep.COARSE_POINTS)
+    vals = [sweep._pm_at(replace(params, gamma_tl=10.0**x), drive, t_m) for x in coarse]
+    k = int(np.argmax(vals))
+    if k in (0, sweep.COARSE_POINTS - 1):
+        return sweep.OptimizeResult(gamma_tl=10.0 ** coarse[k], pm=vals[k], at_boundary=True)
+    res = minimize_scalar(
+        lambda x: -sweep._pm_at(replace(params, gamma_tl=10.0**x), drive, t_m),
+        bounds=(coarse[k - 1], coarse[k + 1]), method="bounded",
+        options={"xatol": math.log10(1.0 + sweep.GAMMA_TL_REL_TOL)})
+    return sweep.OptimizeResult(gamma_tl=10.0**res.x, pm=-res.fun, at_boundary=False)
+
+
+def seeded_optimize_input(seed):
+    """(drive, params, t_m, bracket) drawn from ``seed``; every third input
+    has a bracket of its own."""
+    rng = np.random.default_rng(5000 + seed)
+    omega = omega_from_ghz(rng.uniform(1.0, 10.0))
+    params = DetectorParams(gamma_tl=1.0, gamma_0=0.0, gamma_1=rng.uniform(0.1, 3.0),
+                            gamma_rel=rng.uniform(0.0, 0.5), gamma_res=0.0, omega_0=omega)
+    drive = DriveSpec.continuous(10.0 ** rng.uniform(-3.0, 1.0), omega)
+    bracket = tuple(sorted(10.0 ** rng.uniform(-3.0, 3.0, 2))) if seed % 3 == 0 else (1e-2, 1e2)
+    return drive, params, rng.uniform(1.0, 60.0), bracket
+
+
 class TestOptimizer:
+    def test_coarse_grid_is_one_pm_at_call(self, monkeypatch):
+        calls, integrated = spy_pm_at(monkeypatch)
+        res = sweep.optimize_gamma_tl(DriveSpec.continuous(0.02, OMEGA), make_params(), 50.0)
+        assert not res.at_boundary
+        assert calls == [sweep.COARSE_POINTS]
+        # perfbench/spans.py counts the meanfield.integrate calls under
+        # optimize_gamma_tl (sweep.evals_per_optimize); the Brent steps make them
+        assert len(integrated) >= 1
+
+    def test_same_floats_as_a_serial_coarse_grid(self):
+        # expm works slice by slice, so each stacked cell gets the floats of
+        # its own integrate call, and the optimizer takes the same steps
+        inputs = [seeded_optimize_input(seed) for seed in range(24)]
+        inputs.append((DriveSpec.continuous(0.02, OMEGA), make_params(), 50.0, (1e-2, 1e-1)))
+        results = [sweep.optimize_gamma_tl(*inp) for inp in inputs]
+        expected = [serial_optimize(*inp) for inp in inputs]
+        assert results == expected
+        assert [type(r.pm) for r in results] == [type(r.pm) for r in expected]
+        assert {res.at_boundary for res in results} == {False, True}
+
+    @pytest.mark.parametrize("kw,t_m,problem", [
+        (dict(gamma_0=0.1), 20.0, "mean-field closure assumes gamma_0 = 0"),
+        (dict(gamma_1=0.0), 20.0, "gamma_1 = 0"),
+        ({}, 0.0, "t_m must be > 0"),
+        ({}, math.nan, "t_m must be a finite number"),
+    ])
+    def test_rejects_before_the_coarse_grid(self, monkeypatch, kw, t_m, problem):
+        calls, integrated = spy_pm_at(monkeypatch)
+        with pytest.raises(ValueError, match=problem):
+            sweep.optimize_gamma_tl(DriveSpec.continuous(0.1, OMEGA), make_params(**kw), t_m)
+        assert calls == integrated == []
+
     def test_agrees_with_grid_oracle(self):
         p = make_params()
         d = DriveSpec.continuous(0.02, OMEGA)

@@ -8,9 +8,9 @@ and with the warning registry reset, as a process of its own would see it.
 The list holds ``sweep`` specs (the grids of the change's
 ``tests/test_sweep.py``, each as JSON and as CSV, and seeded 8x8
 continuous-drive grids, some of which overflow) and ``optimize`` runs,
-including three that must fail. Compares the exit code, stdout, stderr and
-the bytes of every file each command writes, prints every difference and
-exits 1 if there is one, else 0.
+including one that ends on the range boundary and five that must fail.
+Compares the exit code, stdout, stderr and the bytes of every file each
+command writes, prints every difference and exits 1 if there is one, else 0.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 CHILD_TIMEOUT_S = 900.0
 SEEDED_GRIDS = 48
-OPTIMIZE_SEEDS = 8
+OPTIMIZE_SEEDS = 32
 #: Axis pairs of the seeded continuous grids; t_m runs linear, rates log.
 GRID_AXES = [("gamma_tl", "alpha_sq"), ("gamma_1", "gamma_rel"), ("t_m", "gamma_tl"),
              ("alpha_sq", "t_m"), ("gamma_rel", "alpha_sq"), ("gamma_tl", "gamma_1")]
@@ -119,14 +119,26 @@ def seeded_grid(seed: int) -> dict:
 
 
 def optimize_cases() -> list[dict]:
+    """Seeded ``optimize`` runs, the second half of them over the ranges of
+    the benchmark's ``optimize`` workload (photons 0.3-30 in t_m 20-60 ns,
+    gamma_1 0.5-2, freq 4-8), then one run that ends on the range boundary
+    and five that must fail."""
     cases = []
     for seed in range(OPTIMIZE_SEEDS):
         rng = np.random.default_rng(1000 + seed)
-        flags = {"--gamma-1": rng.uniform(0.2, 3.0), "--gamma-rel": rng.uniform(0.0, 0.3),
-                 "--alpha-sq": 10.0 ** rng.uniform(-3.0, 0.5), "--t-m": rng.uniform(2.0, 60.0)}
+        if seed < OPTIMIZE_SEEDS // 2:
+            flags = {"--gamma-1": rng.uniform(0.2, 3.0), "--gamma-rel": rng.uniform(0.0, 0.3),
+                     "--alpha-sq": 10.0 ** rng.uniform(-3.0, 0.5),
+                     "--t-m": rng.uniform(2.0, 60.0)}
+        else:
+            photons = 10.0 ** rng.uniform(math.log10(0.3), math.log10(30.0))
+            t_m, freq = rng.uniform(20.0, 60.0), rng.uniform(4.0, 8.0)
+            flags = {"--gamma-1": rng.uniform(0.5, 2.0), "--freq": freq,
+                     "--alpha-sq": photons / (freq * t_m), "--t-m": t_m}
         cases.append({"name": f"optimize seed {seed}",
                       "argv": ["optimize"] + [s for k, v in flags.items() for s in (k, repr(v))]})
-    for flag, value in (("--t-m", "0"), ("--gamma-0", "0.1"), ("--alpha-sq", "1e300")):
+    for flag, value in (("--alpha-sq", "0"), ("--t-m", "0"), ("--t-m", "nan"),
+                        ("--gamma-0", "0.1"), ("--gamma-1", "0"), ("--alpha-sq", "1e300")):
         argv = ["optimize", "--alpha-sq", "0.1", "--t-m", "20", flag, value]
         cases.append({"name": f"optimize {flag} {value}", "argv": argv})
     return cases
