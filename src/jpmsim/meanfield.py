@@ -132,15 +132,18 @@ def rabi_frequency(params: DetectorParams, drive: DriveSpec) -> float:
     return np.sqrt(2.0 * drive.alpha_sq * params.gamma_tl / np.pi)
 
 
+def _a0_stack(ps: Sequence[DetectorParams]) -> np.ndarray:
+    """The (N, 4, 4) stack of the A0 of :func:`generator` for N detectors ``ps``."""
+    a0, gt = np.zeros((len(ps), 4, 4)), np.array([p.gamma_tilde for p in ps], float)
+    a0[:, 0, 0], a0[:, 2, 2] = -0.5 * gt, -gt
+    a0[:, 1, 2], a0[:, 3, 2] = [p.gamma_tl + p.gamma_rel for p in ps], [p.gamma_1 for p in ps]
+    return a0
+
+
 def generator(params: DetectorParams) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 matrices (A0, B) of dy/dt = (A0 + omega_R(t) B) y for
     y = (v, p0, p1, pm): A0 holds the decay and tunneling rates, B the drive."""
-    gt = params.gamma_tilde
-    a0 = np.array([[-0.5 * gt, 0.0, 0.0, 0.0],
-                   [0.0, 0.0, params.gamma_tl + params.gamma_rel, 0.0],
-                   [0.0, 0.0, -gt, 0.0],
-                   [0.0, 0.0, params.gamma_1, 0.0]])
-    return a0, _DRIVE.copy()
+    return _a0_stack([params])[0], _DRIVE.copy()
 
 
 def propagate(gen: np.ndarray, y0, t_eval: np.ndarray) -> np.ndarray:
@@ -275,15 +278,10 @@ def integrate_pulses(
 
 
 def _stacked_generators(cells: Sequence[tuple[DetectorParams, DriveSpec]]):
-    """The stacks (A0_k) and (omega_R,k B) of N cells, each of shape (N, 4, 4),
-    filled entry by entry from arrays with the floats :func:`generator` gives."""
-    a0, gt = np.zeros((len(cells), 4, 4)), np.array([p.gamma_tilde for p, _ in cells], float)
-    a0[:, 0, 0], a0[:, 2, 2] = -0.5 * gt, -gt
-    a0[:, 1, 2] = [p.gamma_tl + p.gamma_rel for p, _ in cells]
-    a0[:, 3, 2] = [p.gamma_1 for p, _ in cells]
+    """The stacks (A0_k) and (omega_R,k B) of N cells, each of shape (N, 4, 4)."""
     with np.errstate(over="ignore", invalid="ignore"):  # wr = inf gives NaN, the callers report
         rabi = np.array([rabi_frequency(p, d) for p, d in cells])
-        return a0, rabi[:, None, None] * _DRIVE
+        return _a0_stack([p for p, _ in cells]), rabi[:, None, None] * _DRIVE
 
 
 def pm_at(cells: Sequence[tuple[DetectorParams, DriveSpec]], t_m) -> np.ndarray:

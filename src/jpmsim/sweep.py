@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import meanfield, rate
-from .core import DetectorParams, DriveSpec, _require_finite, _require_int, strict_json
+from .core import DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int, strict_json
 
 #: Each sweepable name and the SweepSpec field a cell sets it on: the
 #: detector parameters, the drive or the measurement time.
@@ -247,12 +247,14 @@ def optimize_gamma_tl(
     t_m: float,
     bracket: tuple[float, float] = (1e-2, 1e2),
 ) -> OptimizeResult:
-    """Maximize pm(t_m) over gamma_tl by bounded Brent search on log scale.
-
-    A coarse log grid, one :func:`meanfield.pm_at` call, brackets the maximum;
-    if its best point sits on the range boundary the boundary value is
-    returned with ``at_boundary=True`` instead of pretending convergence.
+    """Maximize pm(t_m) over gamma_tl, for a continuous drive, by bounded
+    Brent search on log scale. A coarse log grid, one :func:`meanfield.pm_at`
+    call in which each point gets the floats it gets alone, brackets the
+    maximum; if its best point sits on the range boundary the boundary value
+    is returned with ``at_boundary=True`` instead of pretending convergence.
     """
+    if drive.kind is not DriveKind.CONTINUOUS:
+        raise ValueError(f"optimize_gamma_tl needs a continuous drive, got {drive.kind.value}")
     meanfield._check_preconditions(params, drive)
     _require_finite("t_m", t_m, 0.0, strict=True)
     if params.gamma_1 == 0:

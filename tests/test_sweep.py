@@ -656,6 +656,14 @@ class TestOptimizer:
             sweep.optimize_gamma_tl(DriveSpec.continuous(0.1, OMEGA), make_params(**kw), t_m)
         assert calls == integrated == []
 
+    def test_rejects_a_pulse_drive(self, monkeypatch):
+        # stacked pulse cells share one LSODA step sequence, so the coarse
+        # grid would not get the floats the Brent steps get
+        calls, integrated = spy_pm_at(monkeypatch)
+        with pytest.raises(ValueError, match="needs a continuous drive, got gaussian"):
+            sweep.optimize_gamma_tl(DriveSpec.gaussian(1.0, OMEGA, 1.0), make_params(), 20.0)
+        assert calls == integrated == []
+
     def test_agrees_with_grid_oracle(self):
         p = make_params()
         d = DriveSpec.continuous(0.02, OMEGA)
