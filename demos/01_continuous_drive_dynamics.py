@@ -9,7 +9,7 @@ same dynamics.
 
 import numpy as np
 
-from jpmsim import DetectorParams, DriveSpec, IntegratorConfig, integrate
+from jpmsim import DetectorParams, DriveSpec, integrate
 from jpmsim.analytic import continuous_pm_poles
 from jpmsim.core import omega_from_ghz
 from jpmsim.meanfield import rabi_frequency
@@ -28,7 +28,7 @@ drive = DriveSpec.continuous(alpha_sq, params.omega_0)
 
 print(f"Rabi frequency: {rabi_frequency(params, drive):.4f} /ns")
 
-traj = integrate(params, drive, IntegratorConfig(t_end=10.0, n_samples=11))
+traj = integrate(params, drive, t_end=10.0, n_samples=11)
 refl = traj.reflection()
 print("\n  t [ns]      p0        p1        pm        R")
 for t, p0, p1, pm, r in zip(traj.times, traj.p0, traj.p1, traj.pm, refl):
@@ -41,5 +41,5 @@ print(f"\nPoles (1/ns): {np.array2string(poles.poles, precision=4)}")
 print(f"Max |ODE - pole reconstruction| = {np.max(np.abs(traj.pm - recon)):.2e}")
 
 # Every photon is eventually counted: pm -> 1.
-late = integrate(params, drive, IntegratorConfig(t_end=120.0, n_samples=2))
+late = integrate(params, drive, t_end=120.0, n_samples=2)
 print(f"pm(120 ns) = {late.pm[-1]:.6f}  (stationary limit is 1)")

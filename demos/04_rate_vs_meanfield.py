@@ -9,7 +9,7 @@ monotone rate-equation curve.
 
 import numpy as np
 
-from jpmsim import DetectorParams, DriveSpec, IntegratorConfig, integrate
+from jpmsim import DetectorParams, DriveSpec, integrate
 from jpmsim.core import omega_from_ghz
 from jpmsim.meanfield import rabi_frequency
 from jpmsim.rate import closed_form_p1_pm
@@ -22,7 +22,7 @@ params = DetectorParams(
 
 def compare(alpha_sq, label):
     drive = DriveSpec.continuous(alpha_sq, params.omega_0)
-    traj = integrate(params, drive, IntegratorConfig(t_end=30.0, n_samples=1200))
+    traj = integrate(params, drive, t_end=30.0, n_samples=1200)
     _, pm_rate = closed_form_p1_pm(params, alpha_sq, traj.times)
     gap = traj.pm - pm_rate
     crossings = int(np.sum(np.diff(np.sign(gap[1:])) != 0))

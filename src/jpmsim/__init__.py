@@ -8,7 +8,7 @@ from .core import (
     photon_flux,
     photon_number,
 )
-from .meanfield import IntegratorConfig, Trajectory, integrate, rabi_frequency
+from .meanfield import Trajectory, integrate, rabi_frequency
 from .rate import (
     EfficiencyReport,
     build_report,
@@ -25,7 +25,6 @@ __all__ = [
     "DriveSpec",
     "photon_flux",
     "photon_number",
-    "IntegratorConfig",
     "Trajectory",
     "integrate",
     "rabi_frequency",

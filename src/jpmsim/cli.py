@@ -6,7 +6,8 @@ is the ordinary frequency in GHz, multiplied by 2*pi internally. All
 subcommands are deterministic.
 
 Exit codes: 0 success, 2 argument errors, 3 numerical failure (integration,
-invariant violation, diverging series or degenerate poles).
+invariant violation, diverging series, degenerate poles, or a float overflow
+or division by zero).
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ def _emit(text: str, output) -> None:
 def cmd_simulate(args) -> int:
     params = _params(vars(args))
     drive = _drive(vars(args), params.omega_0)
-    cfg = meanfield.IntegratorConfig(t_end=args.t_end, n_samples=args.samples)
-    traj = meanfield.integrate(params, drive, cfg)
+    traj = meanfield.integrate(params, drive, args.t_end, args.samples)
     if args.output:
         traj.to_csv(args.output)
     print(f"pm(t_end) = {traj.pm[-1]:.6f} at t_end = {traj.times[-1]:.6g} ns")
@@ -116,8 +116,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     params = _params(vars(args))
     drive = DriveSpec.continuous(args.alpha_sq, params.omega_0)
-    cfg = meanfield.IntegratorConfig(t_end=args.t_end, n_samples=args.samples)
-    traj = meanfield.integrate(params, drive, cfg)
+    traj = meanfield.integrate(params, drive, args.t_end, args.samples)
     _, pm_rate = rate.closed_form_p1_pm(params, args.alpha_sq, traj.times)
     gap = traj.pm - pm_rate
     lines = ["t,pm_meanfield,pm_rate"]
@@ -385,7 +384,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (meanfield.IntegrationError, meanfield.InvariantViolation,
-            analytic.SeriesDiverged, analytic.DegeneratePoles) as exc:
+            analytic.SeriesDiverged, analytic.DegeneratePoles,
+            ArithmeticError) as exc:  # float overflow or division by zero in a formula
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -75,25 +75,6 @@ class InvariantViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
-    """End time and number of uniform samples of a trajectory.
-
-    A continuous drive is propagated exactly from sample to sample with
-    expm, a pulse is integrated with LSODA (:func:`integrate_pulses`) and
-    sampled. With ``t_end`` None a continuous drive runs to 20/gamma_tilde
-    and a pulse to the end of its envelope's support plus a tunneling tail.
-    """
-
-    t_end: float | None = None
-    n_samples: int = 400
-
-    def __post_init__(self):
-        if self.t_end is not None:
-            _require_finite("t_end", self.t_end, 0.0, strict=True, message="t_end must be > 0")
-        _require_int("n_samples", self.n_samples, 2)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled mean-field trajectory plus the inputs that produced it."""
 
@@ -179,22 +160,25 @@ def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
 
 
 def integrate(
-    params: DetectorParams, drive: DriveSpec, cfg: IntegratorConfig | None = None
+    params: DetectorParams, drive: DriveSpec, t_end: float | None = None, n_samples: int = 400
 ) -> Trajectory:
-    """Integrate the mean-field system from the ground state and sample it on
-    a uniform grid.
+    """Integrate the mean-field system from the ground state and sample it at
+    ``n_samples`` uniform times from 0 to ``t_end``.
 
     A continuous drive is propagated exactly with the constant generator
-    A0 + omega_R B (:func:`propagate`). A pulse drive is the one-cell call of
-    :func:`integrate_pulses`.
+    A0 + omega_R B (:func:`propagate`) and runs by default to 20/gamma_tilde.
+    A pulse drive is the one-cell call of :func:`integrate_pulses` and runs by
+    default to the end of its envelope's support plus a tunneling tail of
+    PULSE_TAIL_FACTOR/gamma_1.
 
     A non-finite sample raises IntegrationError. Occupation bounds and
     probability conservation are asserted at every sample; a breach raises
     InvariantViolation rather than being clipped.
     """
+    if t_end is not None:
+        _require_finite("t_end", t_end, 0.0, strict=True, message="t_end must be > 0")
+    _require_int("n_samples", n_samples, 2)
     _check_preconditions(params, drive)
-    cfg = cfg or IntegratorConfig()
-    t_end = cfg.t_end
     if t_end is None and drive.kind is DriveKind.CONTINUOUS:
         if params.gamma_tilde == 0:
             raise ValueError("gamma_tilde = 0: no default t_end (20 / gamma_tilde); pass t_end")
@@ -202,7 +186,7 @@ def integrate(
     elif t_end is None:
         g1 = params.gamma_1
         t_end = envelope_for(drive).t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
-    t_eval = np.linspace(0.0, t_end, cfg.n_samples)
+    t_eval = np.linspace(0.0, t_end, n_samples)
 
     if drive.kind is DriveKind.CONTINUOUS:
         a0, b = generator(params)

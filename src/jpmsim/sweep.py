@@ -237,8 +237,7 @@ class OptimizeResult:
 
 
 def _pm_at(params: DetectorParams, drive: DriveSpec, t_m: float) -> float:
-    cfg = meanfield.IntegratorConfig(t_end=t_m, n_samples=2)
-    return float(meanfield.integrate(params, drive, cfg).pm[-1])
+    return float(meanfield.integrate(params, drive, t_m, n_samples=2).pm[-1])
 
 
 def optimize_gamma_tl(

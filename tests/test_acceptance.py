@@ -116,7 +116,7 @@ def test_04_continuous_saturation():
         d = DriveSpec.continuous(a2, OMEGA)
         wr = meanfield.rabi_frequency(p, d)
         t_end = 50.0 / min(gtl, g1, wr)
-        traj = meanfield.integrate(p, d, meanfield.IntegratorConfig(t_end=t_end))
+        traj = meanfield.integrate(p, d, t_end=t_end)
         if traj.pm[-1] <= 0.999:
             ok = False
             break
@@ -178,10 +178,7 @@ def test_08_laplace_pole_oracle():
     a2 = 0.05
     ps = analytic.continuous_pm_poles(p, a2)
     t_end = 20.0 / p.gamma_tilde
-    traj = meanfield.integrate(
-        p, DriveSpec.continuous(a2, OMEGA),
-        meanfield.IntegratorConfig(t_end=t_end),
-    )
+    traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), t_end=t_end)
     sup = np.max(np.abs(ps.reconstruct(traj.times) - traj.pm))
     has_zero_pole = ps.poles[0] == 0.0
     # limit of s * pm(s) as s -> 0 by linear extrapolation from two points
@@ -230,10 +227,7 @@ def test_10_regime_comparison():
     p = make_params()
 
     def gap_and_crossings(a2, t_end):
-        traj = meanfield.integrate(
-            p, DriveSpec.continuous(a2, OMEGA),
-            meanfield.IntegratorConfig(t_end=t_end, n_samples=2000),
-        )
+        traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), t_end=t_end, n_samples=2000)
         _, pm_rate = rate.closed_form_p1_pm(p, a2, traj.times)
         gap = traj.pm - pm_rate
         crossings = int(np.sum(np.diff(np.sign(gap[1:])) != 0))

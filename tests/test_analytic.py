@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
-from jpmsim import analytic
-from jpmsim.core import DetectorParams, omega_from_ghz
+from jpmsim import analytic, meanfield
+from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
 
 OMEGA = omega_from_ghz(5.0)
 
@@ -74,6 +75,50 @@ class TestPoles:
     def test_requires_drive(self):
         with pytest.raises(ValueError):
             analytic.continuous_pm_poles(make_params(), 0.0)
+
+
+def double_root_alpha_sq(p):
+    """alpha_sq at which the continuous-drive cubic s^3 + (3 gt/2) s^2 +
+    (gt^2/2 + w) s + gamma_1 w / 2, with w = omega_R^2, has a double root:
+    the positive real roots in w of its discriminant."""
+    gt, g1 = p.gamma_tilde, p.gamma_1
+    b, c, d = 1.5 * gt, Polynomial([0.5 * gt * gt, 1.0]), Polynomial([0.0, 0.5 * g1])
+    disc = 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+    w = [r.real for r in disc.roots() if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0]
+    return [wi * np.pi / (2 * p.gamma_tl * p.omega_0) for wi in w]
+
+
+def seeded_detectors(n=8):
+    """gamma_tl = gamma_1 = 1 at 5 GHz, then n seeded lossless detectors."""
+    rng = np.random.default_rng(17)
+    return [make_params()] + [
+        make_params(gamma_tl=10.0 ** rng.uniform(-1, 1), gamma_1=10.0 ** rng.uniform(-1, 1),
+                    omega_0=omega_from_ghz(rng.uniform(1.0, 10.0)))
+        for _ in range(n)]
+
+
+class TestDoubleRoot:
+    def test_known_double_root_raises(self):
+        # numpy.roots splits it by ~1e-8 and the residues reach +-4.3e6 i
+        with pytest.raises(analytic.DegeneratePoles, match="may miss pm"):
+            analytic.continuous_pm_poles(make_params(), 0.018890254169653932)
+
+    @pytest.mark.parametrize("p", seeded_detectors())
+    def test_on_the_locus_raises(self, p):
+        alphas = double_root_alpha_sq(p)
+        assert alphas
+        for a2 in alphas:
+            with pytest.raises(analytic.DegeneratePoles):
+                analytic.continuous_pm_poles(p, a2)
+
+    @pytest.mark.parametrize("p", seeded_detectors())
+    def test_near_the_locus_matches_integrate(self, p):
+        for a2 in double_root_alpha_sq(p):
+            for a2_near in (a2 * (1 - 1e-5), a2 * (1 + 1e-5)):
+                ps = analytic.continuous_pm_poles(p, a2_near)
+                traj = meanfield.integrate(p, DriveSpec.continuous(a2_near, p.omega_0),
+                                           n_samples=50)
+                assert np.max(np.abs(ps.reconstruct(traj.times) - traj.pm)) < analytic.POLE_TOL
 
 
 class TestExpPulseSeries:

@@ -269,7 +269,8 @@ class TestConfig:
 
 AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}
 #: Problems that are numerical failures and exit 3; every other case exits 2.
-NUMERICAL = {"keeps growing", "collides", "p0 = nan"}
+NUMERICAL = {"keeps growing", "collides", "p0 = nan", "out of range", "division by zero",
+             "overflow", "divide by zero"}
 #: --config files that test_malformed_input_exits_2 writes: a JSON true or a
 #: float is not an integer or a rate
 CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"order": True},
@@ -313,6 +314,16 @@ CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"ord
      {"axis1": {**AXIS, "max": math.inf}, "t_m": 5.0}, "max"),
     (["analytic", "--mode", "poles", "--alpha-sq", "1e-13", "--gamma-1", "1e-12"],
      None, "collides"),
+    (["simulate", "--drive", "gauss", "--sigma", "1e300", "--alpha-sq", "0.1"],
+     None, "out of range"),
+    (["analytic", "--mode", "exp-steady", "--alpha-sq", "0.1", "--kappa", "1e-300"],
+     None, "division by zero"),
+    (["analytic", "--mode", "exp-steady", "--alpha-sq", "0.1", "--kappa", "1e300"],
+     None, "overflow"),
+    (["analytic", "--mode", "exp-steady", "--alpha-sq", "0.1", "--kappa", "1e-100"],
+     None, "divide by zero"),
+    (["analytic", "--mode", "exp-steady", "--alpha-sq", "1e300", "--kappa", "1"],
+     None, "overflow"),
     (["simulate", "--drive", "continuous", "--alpha-sq", "0.1", "--samples", "0"],
      None, "n_samples"),
     (["simulate", "--drive", "continuous", "--alpha-sq", "0.1", "--samples", "1"],

@@ -9,7 +9,6 @@ from jpmsim.core import (
     photon_number,
 )
 from jpmsim.meanfield import (
-    IntegratorConfig,
     InvariantViolation,
     Trajectory,
     _check_invariants,
@@ -70,8 +69,8 @@ class TestValidation:
             DriveSpec.continuous(-1.0, OMEGA)
 
 
-#: Builds the object owning each numeric field of DetectorParams and DriveSpec,
-#: and IntegratorConfig's t_end, with that field set to the given value.
+#: Builds the object owning each numeric field of DetectorParams and DriveSpec
+#: with that field set to the given value; t_end is passed to integrate.
 FIELD_BUILDERS = {
     **{
         name: (lambda x, name=name: make_params(**{name: x}))
@@ -82,7 +81,7 @@ FIELD_BUILDERS = {
     "kappa": lambda x: DriveSpec.exponential(1.0, OMEGA, x),
     "sigma": lambda x: DriveSpec.gaussian(1.0, OMEGA, x),
     "t0": lambda x: DriveSpec.gaussian(1.0, OMEGA, 1.0, t0=x),
-    "t_end": lambda x: IntegratorConfig(t_end=x),
+    "t_end": lambda x: integrate(make_params(), DriveSpec.continuous(1.0, OMEGA), t_end=x),
 }
 
 

@@ -44,7 +44,7 @@ class TestIntegrate:
     def test_zero_drive_no_clicks(self):
         p = make_params()
         d = DriveSpec.continuous(0.0, OMEGA)
-        traj = meanfield.integrate(p, d, meanfield.IntegratorConfig(t_end=20.0))
+        traj = meanfield.integrate(p, d, t_end=20.0)
         assert np.all(traj.pm == 0.0)
         assert np.all(traj.p0 == 1.0)
 
@@ -53,13 +53,13 @@ class TestIntegrate:
         d = DriveSpec.continuous(0.05, OMEGA)
         wr = meanfield.rabi_frequency(p, d)
         t_end = 50.0 / min(p.gamma_tl, p.gamma_1, wr)
-        traj = meanfield.integrate(p, d, meanfield.IntegratorConfig(t_end=t_end))
+        traj = meanfield.integrate(p, d, t_end=t_end)
         assert traj.pm[-1] > 0.999
 
     def test_conservation_lossless(self):
         p = make_params(gamma_tl=0.8, gamma_1=1.3)
         d = DriveSpec.continuous(0.03, OMEGA)
-        traj = meanfield.integrate(p, d, meanfield.IntegratorConfig(t_end=15.0))
+        traj = meanfield.integrate(p, d, t_end=15.0)
         total = traj.p0 + traj.p1 + traj.pm
         assert np.max(np.abs(total - 1.0)) < 1e-6
 
@@ -99,9 +99,7 @@ class TestIntegrate:
         p = make_params()
         alpha_sq = 400.0 * np.pi / (2 * p.gamma_tl * OMEGA)  # omega_R = 20
         d = DriveSpec.continuous(alpha_sq, OMEGA)
-        traj = meanfield.integrate(
-            p, d, meanfield.IntegratorConfig(t_end=5.0, n_samples=4000)
-        )
+        traj = meanfield.integrate(p, d, t_end=5.0, n_samples=4000)
         cut = np.searchsorted(traj.pm, 0.5)
         p1 = traj.p1[:cut]
         maxima = np.sum((p1[1:-1] > p1[:-2]) & (p1[1:-1] > p1[2:]))
@@ -113,9 +111,7 @@ class TestLaplaceCrossOracle:
         p = make_params(gamma_tl=0.7, gamma_1=1.2)
         a2 = 0.04
         t_end = 20.0 / p.gamma_tilde
-        traj = meanfield.integrate(
-            p, DriveSpec.continuous(a2, OMEGA), meanfield.IntegratorConfig(t_end=t_end)
-        )
+        traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), t_end=t_end)
         ps = analytic.continuous_pm_poles(p, a2)
         recon = ps.reconstruct(traj.times)
         assert np.max(np.abs(recon - traj.pm)) < 1e-10
@@ -150,8 +146,8 @@ class TestExactContinuousPropagator:
             gtl, g1 = 10.0 ** rng.uniform(-1, 1, size=2)
             a2 = 10.0 ** rng.uniform(-3, 0)
             p = make_params(gamma_tl=gtl, gamma_1=g1)
-            cfg = meanfield.IntegratorConfig(t_end=rng.uniform(1, 60), n_samples=50)
-            traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), cfg)
+            traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA),
+                                       t_end=rng.uniform(1, 60), n_samples=50)
             recon = analytic.continuous_pm_poles(p, a2).reconstruct(traj.times)
             worst = max(worst, np.max(np.abs(recon - traj.pm)))
         assert worst < 1e-11
@@ -163,8 +159,7 @@ class TestExactContinuousPropagator:
             gtl, g1 = 10.0 ** rng.uniform(-1, 1, size=2)
             a2 = 10.0 ** rng.uniform(-3, 0)
             p = make_params(gamma_tl=gtl, gamma_1=g1, gamma_rel=rng.uniform(0.01, 1.0))
-            cfg = meanfield.IntegratorConfig(n_samples=50)
-            traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), cfg)
+            traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), n_samples=50)
             ref = dop853_reference(p, a2, traj.times)
             assert np.max(np.abs(components(traj) - ref)) < 1e-10
 
@@ -200,7 +195,7 @@ class TestPulseLSODA:
             d = (DriveSpec.exponential(a2, OMEGA, 10.0 ** rng.uniform(-0.5, 0.7)),
                  DriveSpec.gaussian(a2, OMEGA, 10.0 ** rng.uniform(-0.3, 0.5)),
                  DriveSpec.tabulated(a2, OMEGA, *TABLE))[i % 3]
-            traj = meanfield.integrate(p, d, meanfield.IntegratorConfig(n_samples=20))
+            traj = meanfield.integrate(p, d, n_samples=20)
             ref = dop853_pulse(p, d, traj.times)
             assert np.max(np.abs(components(traj) - ref)) < 1e-8
 
@@ -212,7 +207,7 @@ class TestPulseLSODA:
         # before the pulse the state sits still, so nothing in the error
         # estimate stops a step from jumping the whole pulse
         p = make_params(gamma_rel=0.2)
-        traj = meanfield.integrate(p, drive, meanfield.IntegratorConfig(n_samples=5))
+        traj = meanfield.integrate(p, drive, n_samples=5)
         ref = dop853_pulse(p, drive, traj.times)
         assert traj.pm[-1] > 0.05
         assert np.max(np.abs(components(traj) - ref)) < 1e-8
@@ -263,8 +258,7 @@ class TestPulseLSODA:
 
 
 def pm_alone(params, drive, t_m):
-    cfg = meanfield.IntegratorConfig(t_end=t_m, n_samples=2)
-    return meanfield.integrate(params, drive, cfg).pm[-1]
+    return meanfield.integrate(params, drive, t_end=t_m, n_samples=2).pm[-1]
 
 
 class TestPmAt:
@@ -337,7 +331,7 @@ class TestRelaxation:
     ], ids=["continuous", "exp"])
     def test_probability_conserved(self, drive):
         p = make_params(gamma_rel=0.5)
-        traj = meanfield.integrate(p, drive, meanfield.IntegratorConfig(t_end=30.0))
+        traj = meanfield.integrate(p, drive, t_end=30.0)
         total = traj.p0 + traj.p1 + traj.pm
         assert np.max(np.abs(total - 1.0)) < 1e-10
 
@@ -346,9 +340,7 @@ class TestRelaxation:
         # the strong drive pumps it again: every photon is counted eventually
         p = make_params(gamma_rel=0.5)
         a2 = 5.0
-        traj = meanfield.integrate(
-            p, DriveSpec.continuous(a2, OMEGA), meanfield.IntegratorConfig(t_end=30.0)
-        )
+        traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), t_end=30.0)
         _, pm = rate.closed_form_p1_pm(p, a2, traj.times[-1])
         assert traj.pm[-1] == pytest.approx(1.0, abs=1e-3)
         assert abs(traj.pm[-1] - pm) < 1e-3
@@ -358,10 +350,12 @@ class TestConfigAndInvariants:
     @pytest.mark.parametrize("n", [0, 1, -3, 2.5, 4.0, True, "8", None])
     def test_bad_n_samples_rejected(self, n):
         with pytest.raises(ValueError, match="n_samples"):
-            meanfield.IntegratorConfig(n_samples=n)
+            meanfield.integrate(make_params(), DriveSpec.continuous(0.1, OMEGA), n_samples=n)
 
     def test_numpy_integer_n_samples_accepted(self):
-        assert meanfield.IntegratorConfig(n_samples=np.int64(2)).n_samples == 2
+        traj = meanfield.integrate(make_params(), DriveSpec.continuous(0.1, OMEGA),
+                                   n_samples=np.int64(2))
+        assert len(traj.times) == 2
 
     @pytest.mark.parametrize("field", ["p0", "p1", "pm"])
     def test_nan_sample_is_a_violation(self, field):
@@ -390,9 +384,7 @@ class TestReflection:
 
     def test_series_shape(self):
         p = make_params()
-        traj = meanfield.integrate(
-            p, DriveSpec.continuous(0.05, OMEGA), meanfield.IntegratorConfig(t_end=5.0)
-        )
+        traj = meanfield.integrate(p, DriveSpec.continuous(0.05, OMEGA), t_end=5.0)
         r = traj.reflection()
         assert r.shape == traj.times.shape
         assert r[0] == pytest.approx(-1.0 + 2 * p.gamma_tl / p.gamma_tilde)
@@ -423,19 +415,16 @@ class TestContinuousLimit:
         a2_c = a2_g * peak_sq / OMEGA
         t_eq = np.sqrt(2 * np.pi) / (4 * sigma)
 
-        cfg = meanfield.IntegratorConfig(t_end=t0, n_samples=4)
-        pm_gauss = meanfield.integrate(p, d_g, cfg).pm[-1]
-        cfg_c = meanfield.IntegratorConfig(t_end=t_eq, n_samples=4)
-        pm_cont = meanfield.integrate(p, DriveSpec.continuous(a2_c, OMEGA), cfg_c).pm[-1]
+        pm_gauss = meanfield.integrate(p, d_g, t_end=t0, n_samples=4).pm[-1]
+        pm_cont = meanfield.integrate(p, DriveSpec.continuous(a2_c, OMEGA),
+                                      t_end=t_eq, n_samples=4).pm[-1]
         assert pm_gauss == pytest.approx(pm_cont, rel=0.02)
 
 
 class TestExport:
     def test_csv_roundtrip(self, tmp_path):
         p = make_params()
-        traj = meanfield.integrate(
-            p, DriveSpec.continuous(0.05, OMEGA), meanfield.IntegratorConfig(t_end=5.0)
-        )
+        traj = meanfield.integrate(p, DriveSpec.continuous(0.05, OMEGA), t_end=5.0)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         data = np.genfromtxt(path, delimiter=",", names=True)

@@ -54,6 +54,19 @@ def test_runs_cases_like_the_command_line(tmp_path):
     assert json.loads(json.dumps(out)) == out
 
 
+def test_simulate_cases_cover_every_drive_and_sampling_error(tmp_path):
+    cases = same_outputs.simulate_cases()
+    seeded = [c for c in cases if c["argv"][0] == "simulate" and "seed" in c["name"]]
+    assert {c["argv"][c["argv"].index("--drive") + 1] for c in seeded} == {
+        "continuous", "exp", "gauss", "tab"}
+    assert {"--t-end" in c["argv"] for c in seeded} == {True, False}
+    tab = next(c for c in seeded if "tab" in c["argv"])
+    two_faults = next(c for c in cases if c["name"] == "simulate --gamma-0 0.1 --t-end 0")
+    out = same_outputs.run_cases([tab, two_faults], tmp_path)
+    assert out[0]["exit"] == 0 and list(out[0]["files"]) == ["traj.csv"]
+    assert out[1]["exit"] == 2 and "t_end" in out[1]["stderr"]
+
+
 def test_seeded_grids_are_8x8_continuous_and_repeat():
     for seed in range(same_outputs.SEEDED_GRIDS):
         raw = same_outputs.seeded_grid(seed)

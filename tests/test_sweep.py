@@ -98,8 +98,7 @@ class TestRunSweep:
             params=p, drive=d, t_m=5.0,
         )
         res = sweep.run_sweep(spec)
-        cfg = meanfield.IntegratorConfig(t_end=5.0, n_samples=2)
-        direct = meanfield.integrate(p, d, cfg).pm[-1]
+        direct = meanfield.integrate(p, d, t_end=5.0, n_samples=2).pm[-1]
         assert res.values[0] == pytest.approx(direct, rel=1e-9)
         assert res.errors == ()
 
@@ -164,10 +163,9 @@ class TestRunSweep:
         )
         res = sweep.run_sweep(spec)
         assert res.errors == ()
-        cfg = meanfield.IntegratorConfig(t_end=20.0, n_samples=2)
         for sigma, value in zip(res.axis1_values, res.values):
             d = DriveSpec.gaussian(1.0, OMEGA, sigma)
-            assert value == meanfield.integrate(make_params(), d, cfg).pm[-1]
+            assert value == meanfield.integrate(make_params(), d, t_end=20.0, n_samples=2).pm[-1]
 
     def test_parallel_matches_serial(self, capsys, tmp_path):
         # `jpmsim sweep --workers N` is accepted and ignored: same bytes out
@@ -689,7 +687,7 @@ class TestOptimizer:
                 gamma_rel=0.0, gamma_res=0.0, omega_0=OMEGA,
             ),
             d,
-            meanfield.IntegratorConfig(t_end=20.0, n_samples=2),
+            t_end=20.0, n_samples=2,
         ).pm[-1]
         assert res.pm == pytest.approx(direct, rel=1e-9)
 

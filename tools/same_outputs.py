@@ -7,8 +7,11 @@ checkout, with PYTHONPATH=<checkout>/src, each in a fresh working directory
 and with the warning registry reset, as a process of its own would see it.
 The list holds ``sweep`` specs (the grids of the change's
 ``tests/test_sweep.py``, each as JSON and as CSV, and seeded 8x8
-continuous-drive grids, some of which overflow) and ``optimize`` runs,
-including one that ends on the range boundary and five that must fail.
+continuous-drive grids, some of which overflow), ``optimize`` runs,
+including one that ends on the range boundary and five that must fail,
+seeded ``simulate`` runs of every drive kind (a tabulated pulse from a CSV
+the tool writes) and ``compare`` runs, with the errors of their sampling
+flags, and ``analytic`` runs, some of which overflow or sit on a double pole.
 Compares the exit code, stdout, stderr and the bytes of every file each
 command writes, prints every difference and exits 1 if there is one, else 0.
 """
@@ -34,6 +37,9 @@ import numpy as np
 CHILD_TIMEOUT_S = 900.0
 SEEDED_GRIDS = 48
 OPTIMIZE_SEEDS = 32
+SIMULATE_SEEDS = 24
+COMPARE_SEEDS = 8
+ANALYTIC_SEEDS = 8
 #: Axis pairs of the seeded continuous grids; t_m runs linear, rates log.
 GRID_AXES = [("gamma_tl", "alpha_sq"), ("gamma_1", "gamma_rel"), ("t_m", "gamma_tl"),
              ("alpha_sq", "t_m"), ("gamma_rel", "alpha_sq"), ("gamma_tl", "gamma_1")]
@@ -51,9 +57,15 @@ def parse_args(argv=None):
 
 def sweep_cases(name: str, spec: dict) -> list[dict]:
     """A sweep spec run twice: JSON on stdout, and CSV into a file."""
-    argv = ["sweep", "--spec", "spec.json"]
-    return [{"name": f"{name} json", "argv": argv + ["--format", "json"], "spec": spec},
-            {"name": f"{name} csv", "argv": argv + ["--output", "out.csv"], "spec": spec}]
+    argv, inputs = ["sweep", "--spec", "spec.json"], {"spec.json": json.dumps(spec)}
+    return [{"name": f"{name} json", "argv": argv + ["--format", "json"], "inputs": inputs},
+            {"name": f"{name} csv", "argv": argv + ["--output", "out.csv"], "inputs": inputs}]
+
+
+def command_line(command: str, flags: dict) -> list[str]:
+    """argv of ``command`` with each flag's value, a float written with repr."""
+    return [command] + [s for k, v in flags.items()
+                        for s in (k, v if isinstance(v, str) else repr(v))]
 
 
 def spec_json(spec) -> dict | None:
@@ -135,8 +147,7 @@ def optimize_cases() -> list[dict]:
             t_m, freq = rng.uniform(20.0, 60.0), rng.uniform(4.0, 8.0)
             flags = {"--gamma-1": rng.uniform(0.5, 2.0), "--freq": freq,
                      "--alpha-sq": photons / (freq * t_m), "--t-m": t_m}
-        cases.append({"name": f"optimize seed {seed}",
-                      "argv": ["optimize"] + [s for k, v in flags.items() for s in (k, repr(v))]})
+        cases.append({"name": f"optimize seed {seed}", "argv": command_line("optimize", flags)})
     for flag, value in (("--alpha-sq", "0"), ("--t-m", "0"), ("--t-m", "nan"),
                         ("--gamma-0", "0.1"), ("--gamma-1", "0"), ("--alpha-sq", "1e300")):
         argv = ["optimize", "--alpha-sq", "0.1", "--t-m", "20", flag, value]
@@ -144,16 +155,91 @@ def optimize_cases() -> list[dict]:
     return cases
 
 
+def pulse_table(rng: np.random.Generator) -> str:
+    """A two-column (t, f) CSV of a seeded sine-squared pulse."""
+    t = np.linspace(0.0, rng.uniform(2.0, 10.0), 33)
+    f = rng.uniform(0.2, 2.0) * np.sin(np.pi * t / t[-1]) ** 2
+    return "t,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), f.tolist()))
+
+
+def detector_flags(rng: np.random.Generator) -> dict:
+    return {"--gamma-tl": rng.uniform(0.2, 3.0), "--gamma-1": rng.uniform(0.2, 3.0),
+            "--gamma-rel": rng.uniform(0.0, 0.3), "--freq": rng.uniform(4.0, 8.0),
+            "--alpha-sq": 10.0 ** rng.uniform(-3.0, 0.0)}
+
+
+def simulate_cases() -> list[dict]:
+    """Seeded ``simulate`` runs of each drive kind, writing the trajectory
+    with --output, every other one with --t-end and --samples; seeded
+    ``compare`` runs, half of them into a file; and runs that must fail:
+    bad --samples and --t-end (with a second fault, where t_end must stay
+    the error reported) and a Gaussian width whose square overflows."""
+    cases = []
+    for seed in range(SIMULATE_SEEDS):
+        rng = np.random.default_rng(2000 + seed)
+        kind = ("continuous", "exp", "gauss", "tab")[seed % 4]
+        flags, inputs = {"--drive": kind, **detector_flags(rng)}, {}
+        if kind == "exp":
+            flags["--kappa"] = rng.uniform(0.3, 3.0)
+        elif kind == "gauss":
+            flags.update({"--sigma": rng.uniform(0.5, 2.0), "--t0": rng.uniform(9.0, 15.0)})
+        elif kind == "tab":
+            flags["--pulse-file"], inputs = "pulse.csv", {"pulse.csv": pulse_table(rng)}
+        if seed % 8 >= 4:
+            flags.update({"--t-end": rng.uniform(5.0, 40.0),
+                          "--samples": int(rng.integers(2, 300))})
+        cases.append({"name": f"simulate {kind} seed {seed}", "inputs": inputs,
+                      "argv": command_line("simulate", flags) + ["--output", "traj.csv"]})
+    for seed in range(COMPARE_SEEDS):
+        rng = np.random.default_rng(3000 + seed)
+        flags = detector_flags(rng)
+        if seed % 2:
+            flags.update({"--t-end": rng.uniform(5.0, 40.0),
+                          "--samples": int(rng.integers(2, 300)), "--output": "gap.csv"})
+        cases.append({"name": f"compare seed {seed}", "argv": command_line("compare", flags)})
+    for command in (["simulate", "--drive", "continuous"], ["compare"]):
+        for bad in (["--samples", "1"], ["--t-end", "0"], ["--t-end", "nan"],
+                    ["--gamma-0", "0.1", "--t-end", "0"]):
+            cases.append({"name": f"{command[0]} {' '.join(bad)}",
+                          "argv": command + ["--alpha-sq", "0.1"] + bad})
+    cases.append({"name": "simulate --sigma 1e300", "argv": [
+        "simulate", "--drive", "gauss", "--sigma", "1e300", "--alpha-sq", "0.1"]})
+    return cases
+
+
+def analytic_cases() -> list[dict]:
+    """Seeded ``analytic`` runs of both modes, then runs that must fail: an
+    exponential pulse whose series overflows or divides by zero, and the
+    poles of gamma_tl = gamma_1 = 1 at 5 GHz on the cubic's double root."""
+    cases = []
+    for seed in range(ANALYTIC_SEEDS):
+        rng = np.random.default_rng(4000 + seed)
+        flags = {k: v for k, v in detector_flags(rng).items() if k != "--gamma-rel"}
+        cases.append({"name": f"analytic poles seed {seed}",
+                      "argv": command_line("analytic", {"--mode": "poles", **flags})})
+        flags.update({"--mode": "exp-steady", "--kappa": 10.0 ** rng.uniform(0.0, 1.0)})
+        cases.append({"name": f"analytic exp-steady seed {seed}",
+                      "argv": command_line("analytic", flags)})
+    for kappa in ("1e-300", "1e300"):
+        cases.append({"name": f"analytic exp-steady --kappa {kappa}", "argv": [
+            "analytic", "--mode", "exp-steady", "--alpha-sq", "0.1", "--kappa", kappa]})
+    cases.append({"name": "analytic poles double root", "argv": [
+        "analytic", "--mode", "poles", "--alpha-sq", "0.018890254169653932"]})
+    return cases
+
+
 def all_cases(checkout: Path) -> list[dict]:
     seeded = [case for seed in range(SEEDED_GRIDS)
               for case in sweep_cases(f"continuous 8x8 seed {seed}", seeded_grid(seed))]
-    return test_grid_cases(checkout) + seeded + optimize_cases()
+    return (test_grid_cases(checkout) + seeded + optimize_cases() + simulate_cases()
+            + analytic_cases())
 
 
 def run_cases(cases: list[dict], workdir: Path) -> list[dict]:
     """Run each case through jpmsim.cli.main in its own directory under
-    ``workdir``; its exit code (or the exception that escaped), stdout,
-    stderr and the sha256 of every file it wrote."""
+    ``workdir``, after writing its input files there; its exit code (or the
+    exception that escaped), stdout, stderr and the sha256 of every other
+    file it wrote."""
     from jpmsim import cli
 
     results, home = [], os.getcwd()
@@ -162,8 +248,9 @@ def run_cases(cases: list[dict], workdir: Path) -> list[dict]:
             case_dir = workdir / f"case{i}"
             case_dir.mkdir()
             os.chdir(case_dir)
-            if "spec" in case:
-                Path("spec.json").write_text(json.dumps(case["spec"]))
+            inputs = case.get("inputs", {})
+            for name, text in inputs.items():
+                Path(name).write_text(text)
             out, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
@@ -172,7 +259,7 @@ def run_cases(cases: list[dict], workdir: Path) -> list[dict]:
                 except Exception as exc:  # noqa: BLE001 - a traceback is an output too
                     code = f"uncaught {type(exc).__name__}: {exc}"
             files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                     for p in sorted(Path().iterdir()) if p.name != "spec.json"}
+                     for p in sorted(Path().iterdir()) if p.name not in inputs}
             results.append({"name": case["name"], "exit": code, "stdout": out.getvalue(),
                             "stderr": err.getvalue(), "files": files})
     finally:
