@@ -13,6 +13,7 @@ or division by zero).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -371,11 +372,22 @@ def _read_config(argv) -> dict:
     return config
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every call without config defaults, built on first use.
+    ``--config`` sets defaults on a parser of its own, never on this one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser()
-        _apply_config(parser, _read_config(argv))
+        config = _read_config(argv)
+        if config:
+            parser = build_parser()
+            _apply_config(parser, config)
+        else:
+            parser = _shared_parser()
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error

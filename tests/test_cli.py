@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import jpmsim
-from jpmsim import analytic, meanfield
+from jpmsim import analytic, cli, meanfield
 from jpmsim.cli import main
 from jpmsim.core import DetectorParams, omega_from_ghz
 
@@ -265,6 +267,52 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_flag": 1}))
         assert main(["--config", str(cfg), "match"]) == 2
+
+    def test_config_defaults_end_with_their_call(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma_1": 2.0}))
+        assert run(capsys, "match") == (0, "1\n", "")
+        assert run(capsys, "--config", str(cfg), "match") == (0, "2\n", "")
+        assert run(capsys, "match") == (0, "1\n", "")
+
+
+class TestSharedParser:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The parsers that cli.build_parser returns, from an empty cache."""
+        built = []
+
+        def spy():
+            built.append(build_parser())
+            return built[-1]
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._shared_parser.cache_clear()
+        yield built
+        cli._shared_parser.cache_clear()
+
+    def test_built_once_for_plain_calls_and_once_per_config(self, capsys, tmp_path, builds):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma_1": 2.0}))
+        for _ in range(5):
+            assert main(["match"]) == 0
+        assert len(builds) == 1
+        for n in (2, 3):
+            assert main(["--config", str(cfg), "match"]) == 0
+            assert main(["match", "--gamma-1", "4"]) == 0
+            assert len(builds) == n
+        assert cli._shared_parser() is builds[0]
+        assert capsys.readouterr().out.split() == ["1"] * 5 + ["2", "4"] * 2
+
+    def test_import_builds_no_parser(self, monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: made.append(self) or init(self, *args, **kwargs))
+        importlib.reload(cli)
+        assert made == []
+        assert cli._shared_parser.cache_info().currsize == 0
 
 
 AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}

@@ -73,3 +73,18 @@ def test_seeded_grids_are_8x8_continuous_and_repeat():
         assert raw == same_outputs.seeded_grid(seed)
         assert raw["drive"]["kind"] == "continuous"
         assert raw["axis1"]["points"] == raw["axis2"]["points"] == 8
+
+
+def test_parser_cases_follow_each_config_with_the_plain_command(tmp_path):
+    cases = same_outputs.parser_cases()
+    names = {case["name"] for case in cases}
+    for command in same_outputs.COMMANDS:
+        assert {f"{command} {kind}" for kind in (
+            "--help", "unrecognized flag", "missing flag", "bad value", "run")} <= names
+    configs = [i for i, case in enumerate(cases) if case["argv"][:1] == ["--config"]]
+    assert len(configs) == len(same_outputs.COMMANDS) + 4
+    for i in configs:
+        assert cases[i + 1]["argv"] == cases[i]["argv"][2:]
+    out = same_outputs.run_cases(cases[:3] + cases[-6:], tmp_path)
+    assert [r["exit"] for r in out] == [0, 2, 2] + [2, 0] * 3
+    assert "{simulate,compare,efficiency,nep,match,analytic,optimize,sweep}" in out[1]["stderr"]

@@ -11,8 +11,10 @@ continuous-drive grids, some of which overflow), ``optimize`` runs,
 including one that ends on the range boundary and five that must fail,
 seeded ``simulate`` runs of every drive kind (a tabulated pulse from a CSV
 the tool writes) and ``compare`` runs, with the errors of their sampling
-flags, and ``analytic`` runs, some of which overflow or sit on a double pole.
-Compares the exit code, stdout, stderr and the bytes of every file each
+flags, ``analytic`` runs, some of which overflow or sit on a double pole,
+and the parser's own outputs: help, usage errors and ``--config`` runs, each
+of these followed by the same command without ``--config``, so that a default
+that outlives its call shows. Compares the exit code, stdout, stderr and the bytes of every file each
 command writes, prints every difference and exits 1 if there is one, else 0.
 """
 
@@ -46,6 +48,22 @@ GRID_AXES = [("gamma_tl", "alpha_sq"), ("gamma_1", "gamma_rel"), ("t_m", "gamma_
 #: The spec's name of each drive kind, by DriveKind value.
 SPEC_KINDS = {"continuous": "continuous", "exponential": "exp", "gaussian": "gauss"}
 RATES = ("gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res")
+#: Each subcommand with the flags of one quick run; the required flags come
+#: first, and a subcommand without any has none to leave out.
+COMMANDS = {
+    "simulate": (["--drive", "continuous"], ["--alpha-sq", "0.1", "--t-end", "5", "--samples", "3"]),
+    "compare": (["--alpha-sq", "0.1"], ["--t-end", "5", "--samples", "3"]),
+    "efficiency": ([], ["--gamma-res", "1"]),
+    "nep": ([], ["--gamma-0", "0.01", "--gamma-res", "1"]),
+    "match": ([], []),
+    "analytic": (["--mode", "poles", "--alpha-sq", "0.1"], []),
+    "optimize": (["--alpha-sq", "0.1", "--t-m", "20"], []),
+    "sweep": (["--spec", "spec.json"], ["--format", "json"]),
+}
+#: A --config file of keys each subcommand has, run before the plain command.
+COMMAND_CONFIGS = {"analytic": {"gamma_1": 2.0, "order": 3}, "sweep": {"output": "out.csv"}}
+SWEEP_SPEC = {"axis1": {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 3},
+              "objective": "eta", "params": {"gamma_res": 10.0}}
 
 
 def parse_args(argv=None):
@@ -228,11 +246,43 @@ def analytic_cases() -> list[dict]:
     return cases
 
 
+def parser_cases() -> list[dict]:
+    """The parser's outputs: help, no command and an unknown one; for each
+    subcommand its help, an unrecognized flag (the top-level usage), a
+    missing required flag (or a flag without its value), a bad value and a
+    run. Then ``--config`` runs: keys that every command or one command has,
+    an unknown key and a file that is not a JSON object, each followed by the
+    same command without ``--config``."""
+    inputs = {"spec.json": json.dumps(SWEEP_SPEC)}
+    cases = [{"name": "--help", "argv": ["--help"]}, {"name": "no command", "argv": []},
+             {"name": "unknown command", "argv": ["bogus", "--gamma-1", "1"]}]
+    for command, (required, extra) in COMMANDS.items():
+        run = [command, *required, *extra]
+        missing = [command, *required[2:], *extra] if required else [command, "--gamma-1"]
+        bad = ([command, *required, "--format", "xml"] if command == "sweep"
+               else [*run, "--gamma-1", "one"])
+        for name, argv in (("--help", [command, "--help"]), ("unrecognized flag", run + ["--bogus"]),
+                           ("missing flag", missing), ("bad value", bad), ("run", run)):
+            cases.append({"name": f"{command} {name}", "argv": argv, "inputs": inputs})
+    configs = [(command, COMMAND_CONFIGS.get(command, {"gamma_1": 2.0}))
+               for command in COMMANDS]
+    configs += [("match", {"gamma_1": 3.0, "gamma_rel": 0.5, "freq": 6.0}),
+                ("match", {"gama_1": 2.0}), ("efficiency", [1.0]), ("nep", "gamma_1")]
+    for i, (command, config) in enumerate(configs):
+        required, extra = COMMANDS[command]
+        run = [command, *required, *extra]
+        with_config = {**inputs, "config.json": json.dumps(config)}
+        cases.append({"name": f"--config {json.dumps(config)} {command}",
+                      "argv": ["--config", "config.json", *run], "inputs": with_config})
+        cases.append({"name": f"{command} after --config {i}", "argv": run, "inputs": inputs})
+    return cases
+
+
 def all_cases(checkout: Path) -> list[dict]:
     seeded = [case for seed in range(SEEDED_GRIDS)
               for case in sweep_cases(f"continuous 8x8 seed {seed}", seeded_grid(seed))]
     return (test_grid_cases(checkout) + seeded + optimize_cases() + simulate_cases()
-            + analytic_cases())
+            + analytic_cases() + parser_cases())
 
 
 def run_cases(cases: list[dict], workdir: Path) -> list[dict]:
