@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -180,9 +181,13 @@ def cmd_optimize(args) -> int:
     params = _params(vars(args))
     drive = DriveSpec.continuous(args.alpha_sq, params.omega_0)
     res = sweep.optimize_gamma_tl(drive, params, args.t_m)
+    ratio = float(res.gamma_tl) / params.gamma_1  # a float division: inf, without a warning
+    if not math.isfinite(ratio):
+        raise OverflowError(f"ratio_to_gamma_1 = gamma_tl_max / gamma_1 overflows "
+                            f"at gamma_1 = {params.gamma_1!r}")
     data = {
         "gamma_tl_max": res.gamma_tl,
-        "ratio_to_gamma_1": res.gamma_tl / params.gamma_1,
+        "ratio_to_gamma_1": ratio,
         "pm": res.pm,
         "at_boundary": res.at_boundary,
     }

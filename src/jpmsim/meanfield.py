@@ -159,6 +159,21 @@ def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
         )
 
 
+@np.errstate(over="ignore")  # a default that overflows raises below
+def _default_t_end(params: DetectorParams, drive: DriveSpec) -> float:
+    if drive.kind is DriveKind.CONTINUOUS:
+        if params.gamma_tilde == 0:
+            raise ValueError("gamma_tilde = 0: no default t_end (20 / gamma_tilde); pass t_end")
+        t_end, rule = 20.0 / params.gamma_tilde, "20 / gamma_tilde"
+    else:
+        g1 = params.gamma_1
+        t_end = envelope_for(drive).t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
+        rule = f"the pulse's end + {PULSE_TAIL_FACTOR:g} / gamma_1"
+    if not np.isfinite(t_end):
+        raise ValueError(f"default t_end = {rule} overflows; pass t_end")
+    return t_end
+
+
 def integrate(
     params: DetectorParams, drive: DriveSpec, t_end: float | None = None, n_samples: int = 400
 ) -> Trajectory:
@@ -179,13 +194,8 @@ def integrate(
         _require_finite("t_end", t_end, 0.0, strict=True, message="t_end must be > 0")
     _require_int("n_samples", n_samples, 2)
     _check_preconditions(params, drive)
-    if t_end is None and drive.kind is DriveKind.CONTINUOUS:
-        if params.gamma_tilde == 0:
-            raise ValueError("gamma_tilde = 0: no default t_end (20 / gamma_tilde); pass t_end")
-        t_end = 20.0 / params.gamma_tilde
-    elif t_end is None:
-        g1 = params.gamma_1
-        t_end = envelope_for(drive).t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
+    if t_end is None:
+        t_end = _default_t_end(params, drive)
     t_eval = np.linspace(0.0, t_end, n_samples)
 
     if drive.kind is DriveKind.CONTINUOUS:

@@ -50,19 +50,25 @@ class Envelope:
         return out
 
 
+@np.errstate(over="ignore")  # a support that overflows raises below
 def exponential_envelope(kappa: float) -> Envelope:
     """f(t) = sqrt(kappa) * exp(-kappa t / 2) for t >= 0.
 
     Analytically unit-normalized, so c = 1 exactly.
     """
     _require_finite("kappa", kappa, 0.0, strict=True)
+    t_end = EXP_SUPPORT_FACTOR / kappa
+    if not np.isfinite(t_end):
+        raise ValueError(f"kappa = {float(kappa)!r} too small: the support {EXP_SUPPORT_FACTOR:g}/kappa "
+                         "overflows")
 
     def raw(t):
         return np.where(t >= 0, np.sqrt(kappa) * np.exp(-0.5 * kappa * t), 0.0)
 
-    return Envelope(DriveKind.EXPONENTIAL, 1.0, 0.0, EXP_SUPPORT_FACTOR / kappa, raw)
+    return Envelope(DriveKind.EXPONENTIAL, 1.0, 0.0, t_end, raw)
 
 
+@np.errstate(over="ignore")  # a support that overflows raises below
 def gaussian_envelope(
     sigma: float, t0: float | None = None, paper_literal: bool = False
 ) -> Envelope:
@@ -77,6 +83,9 @@ def gaussian_envelope(
     """
     _require_finite("sigma", sigma, 0.0, strict=True)
     half_width = GAUSS_SUPPORT_SIGMAS / (sigma * np.sqrt(2.0))
+    if not np.isfinite(half_width):
+        raise ValueError(f"sigma = {float(sigma)!r} too small: the support half-width "
+                         f"{GAUSS_SUPPORT_SIGMAS:g}/(sigma sqrt 2) overflows")
     if t0 is None:
         t0 = half_width
     if t0 - half_width < -1e-12:

@@ -92,6 +92,7 @@ def closed_form_drive_rate(params: DetectorParams, alpha_sq: float) -> float:
     return 4.0 * params.gamma_tl * omega_flux / gt
 
 
+@np.errstate(all="ignore")  # a G that is not finite raises; e^(-inf) = 0 is exact
 def closed_form_p1_pm(params: DetectorParams, alpha_sq: float, t):
     """Closed-form (p1(t), pm(t)) for a single measurement event.
 
@@ -112,6 +113,9 @@ def closed_form_p1_pm(params: DetectorParams, alpha_sq: float, t):
     w = closed_form_drive_rate(params, alpha_sq)  # raises for gamma_tilde = 0
     b = w + 0.5 * params.gamma_tilde
     g = np.sqrt(b * b - w * params.gamma_1)
+    if not np.isfinite(g):
+        raise ValueError(f"closed form overflows: (w + gamma_tilde/2)^2 is not finite at pumping "
+                         f"rate w = {w:g} and gamma_tilde = {params.gamma_tilde:g}")
     if w == 0.0:
         zero = np.zeros_like(t)
         return zero, zero
@@ -180,11 +184,13 @@ def efficiency_finite_flux(params: DetectorParams, n_in: float) -> float:
     return bright / n_in
 
 
+@np.errstate(all="ignore")
 def matching_gamma_tl(params: DetectorParams) -> float:
     """Coupling rate maximizing the efficiency (general matching condition):
     sqrt((gamma_1 + gamma_rel)(gamma_1 + gamma_rel + gamma_0))."""
     a = params.gamma_1 + params.gamma_rel
-    return np.sqrt(a * (a + params.gamma_0))
+    return _finite(np.sqrt(a * (a + params.gamma_0)), "matching gamma_tl overflows: "
+                   "(gamma_1 + gamma_rel)(gamma_1 + gamma_rel + gamma_0) is not finite")
 
 
 @np.errstate(all="ignore")
@@ -196,7 +202,10 @@ def eta_max(params: DetectorParams) -> float:
     """
     p = params
     a = p.gamma_1 + p.gamma_rel
-    denom = p.gamma_0 + 2.0 * (a + np.sqrt(a * (p.gamma_0 + a)))
+    # without this check the overflowed root would give eta_max = 0
+    root = _finite(np.sqrt(a * (p.gamma_0 + a)), "eta_max undefined: "
+                   "(gamma_1 + gamma_rel)(gamma_0 + gamma_1 + gamma_rel) is not finite")
+    denom = p.gamma_0 + 2.0 * (a + root)
     eta = np.divide(4.0 * (p.gamma_0 + p.gamma_1), denom)
     return _finite(eta, "eta_max undefined: all rates zero")
 

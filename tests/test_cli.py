@@ -318,7 +318,7 @@ class TestSharedParser:
 AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}
 #: Problems that are numerical failures and exit 3; every other case exits 2.
 NUMERICAL = {"keeps growing", "collides", "p0 = nan", "out of range", "division by zero",
-             "overflow", "divide by zero"}
+             "overflow", "divide by zero", "ratio_to_gamma_1"}
 #: --config files that test_malformed_input_exits_2 writes: a JSON true or a
 #: float is not an integer or a rate
 CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"order": True},
@@ -419,6 +419,24 @@ CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"ord
     # omega_R overflows: LSODA's NaN states fail the invariants, without a warning
     (["simulate", "--drive", "gauss", "--sigma", "1", "--alpha-sq", "1e300", "--gamma-tl", "1e10"],
      None, "p0 = nan"),
+    # a result or a default that overflows is an error naming what overflowed,
+    # not a warning with an inf, a NaN or a JSON null
+    (["optimize", "--gamma-1", "5e-324", "--gamma-rel", "1e20", "--freq", "5e-324",
+      "--alpha-sq", "0.1", "--t-m", "30"], None, "ratio_to_gamma_1"),
+    (["match", "--gamma-tl", "1e8", "--gamma-rel", "1e300", "--freq", "0.5"],
+     None, "matching gamma_tl overflows"),
+    (["nep", "--matched", "--gamma-rel", "1e300"], None, "matching gamma_tl overflows"),
+    (["compare", "--samples", "3", "--gamma-tl", "0.5", "--gamma-1", "0.5", "--gamma-rel", "1e300",
+      "--alpha-sq", "0.1"], None, "closed form overflows"),
+    (["efficiency", "--gamma-res", "1", "--gamma-rel", "1e300"], None, "eta_max undefined"),
+    (["simulate", "--drive", "exp", "--samples", "3", "--gamma-tl", "1e-9", "--gamma-1", "0.5",
+      "--freq", "0.5", "--kappa", "5e-324", "--t0", "0"], None, "kappa = 5e-324 too small"),
+    (["simulate", "--drive", "gauss", "--sigma", "5e-324", "--alpha-sq", "0.1"],
+     None, "sigma = 5e-324 too small"),
+    (["simulate", "--drive", "continuous", "--gamma-tl", "5e-324", "--gamma-1", "0",
+      "--alpha-sq", "0.1"], None, "20 / gamma_tilde overflows"),
+    (["simulate", "--drive", "exp", "--kappa", "1", "--gamma-1", "5e-324", "--alpha-sq", "0.1"],
+     None, "10 / gamma_1 overflows"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
     monkeypatch.chdir(tmp_path)

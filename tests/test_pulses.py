@@ -29,8 +29,19 @@ class TestExponential:
         with pytest.raises(ValueError):
             pulses.exponential_envelope(0.0)
 
+    @pytest.mark.parametrize("kappa", [5e-324, np.float64(5e-324)])
+    def test_support_that_overflows_names_kappa(self, kappa):
+        # 40/kappa is inf: an error, not a warning and an infinite support
+        with pytest.raises(ValueError, match="kappa = 5e-324 too small"):
+            pulses.exponential_envelope(kappa)
+
 
 class TestGaussian:
+    @pytest.mark.parametrize("sigma", [5e-324, np.float64(5e-324)])
+    def test_support_that_overflows_names_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma = 5e-324 too small"):
+            pulses.gaussian_envelope(sigma)
+
     def test_symmetry_about_center(self):
         env = pulses.gaussian_envelope(1.0, t0=6.0)
         for delta in (0.3, 1.0, 2.5):

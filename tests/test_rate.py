@@ -371,7 +371,10 @@ class TestBroadcast:
         (rate.eta_loss, dict(gamma_0=0.0, gamma_1=0.0, gamma_rel=1.0)),
         (lambda p: rate.steady_state(p, 0.5)[2], dict(gamma_res=0.0)),
         (lambda p: rate.steady_state(p, 0.5)[2], dict(gamma_tl=0.0, gamma_1=0.0, gamma_0=0.1)),
-    ], ids=["gamma_tilde-0", "overflow", "eta_max-0", "no-reset", "no-decay"])
+        (rate.matching_gamma_tl, dict(gamma_rel=1e300)),
+        (rate.eta_max, dict(gamma_rel=1e300)),
+    ], ids=["gamma_tilde-0", "overflow", "eta_max-0", "no-reset", "no-decay",
+            "matching-overflow", "eta_max-overflow"])
     def test_undefined_is_an_error_alone_and_nan_in_an_array(self, call, bad):
         good = make_params(gamma_0=0.01, gamma_res=1.0)
         bad = replace(good, **bad)

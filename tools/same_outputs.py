@@ -12,9 +12,9 @@ including one that ends on the range boundary and five that must fail,
 seeded ``simulate`` runs of every drive kind (a tabulated pulse from a CSV
 the tool writes) and ``compare`` runs, with the errors of their sampling
 flags, ``analytic`` runs, some of which overflow or sit on a double pole,
-and the parser's own outputs: help, usage errors and ``--config`` runs, each
+the parser's own outputs: help, usage errors and ``--config`` runs, each
 of these followed by the same command without ``--config``, so that a default
-that outlives its call shows. Compares the exit code, stdout, stderr and the bytes of every file each
+that outlives its call shows, and inputs whose results overflow. Compares the exit code, stdout, stderr and the bytes of every file each
 command writes, prints every difference and exits 1 if there is one, else 0.
 """
 
@@ -278,11 +278,35 @@ def parser_cases() -> list[dict]:
     return cases
 
 
+def overflow_cases() -> list[dict]:
+    """Finite inputs whose result, pulse support or default t_end overflows,
+    and a sweep of Gaussian cells whose width is the smallest float."""
+    argvs = [
+        ["optimize", "--gamma-1", "5e-324", "--gamma-rel", "1e20", "--freq", "5e-324",
+         "--alpha-sq", "0.1", "--t-m", "30"],
+        ["match", "--gamma-tl", "1e8", "--gamma-rel", "1e300", "--freq", "0.5"],
+        ["nep", "--matched", "--gamma-rel", "1e300"],
+        ["compare", "--samples", "3", "--gamma-tl", "0.5", "--gamma-1", "0.5",
+         "--gamma-rel", "1e300", "--alpha-sq", "0.1"],
+        ["efficiency", "--gamma-res", "1", "--gamma-rel", "1e300"],
+        ["simulate", "--drive", "exp", "--samples", "3", "--gamma-tl", "1e-9", "--gamma-1", "0.5",
+         "--freq", "0.5", "--kappa", "5e-324", "--t0", "0"],
+        ["simulate", "--drive", "gauss", "--sigma", "5e-324", "--alpha-sq", "0.1"],
+        ["simulate", "--drive", "continuous", "--gamma-tl", "5e-324", "--gamma-1", "0",
+         "--alpha-sq", "0.1"],
+        ["simulate", "--drive", "exp", "--kappa", "1", "--gamma-1", "5e-324", "--alpha-sq", "0.1"],
+    ]
+    spec = {"axis1": {"name": "gamma_tl", "min": 0.5, "max": 1.0, "points": 2},
+            "drive": {"kind": "gauss", "sigma": 5e-324, "alpha_sq": 0.1}, "t_m": 5.0}
+    return ([{"name": " ".join(argv), "argv": argv} for argv in argvs]
+            + sweep_cases("gauss sigma 5e-324", spec))
+
+
 def all_cases(checkout: Path) -> list[dict]:
     seeded = [case for seed in range(SEEDED_GRIDS)
               for case in sweep_cases(f"continuous 8x8 seed {seed}", seeded_grid(seed))]
     return (test_grid_cases(checkout) + seeded + optimize_cases() + simulate_cases()
-            + analytic_cases() + parser_cases())
+            + analytic_cases() + parser_cases() + overflow_cases())
 
 
 def run_cases(cases: list[dict], workdir: Path) -> list[dict]:
