@@ -8,6 +8,10 @@ subcommands are deterministic.
 Exit codes: 0 success, 2 argument errors, 3 numerical failure (integration,
 invariant violation, diverging series, degenerate poles, or a float overflow
 or division by zero).
+
+:func:`main` can be called in process. It builds the parser on its first
+call and reuses it for every later call without ``--config``; a ``--config``
+call builds a parser of its own, so the defaults it sets end with that call.
 """
 
 from __future__ import annotations
