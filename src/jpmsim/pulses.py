@@ -59,8 +59,8 @@ def exponential_envelope(kappa: float) -> Envelope:
     _require_finite("kappa", kappa, 0.0, strict=True)
     t_end = EXP_SUPPORT_FACTOR / kappa
     if not np.isfinite(t_end):
-        raise ValueError(f"kappa = {float(kappa)!r} too small: the support {EXP_SUPPORT_FACTOR:g}/kappa "
-                         "overflows")
+        raise ValueError(f"kappa = {float(kappa)!r} too small: the support "
+                         f"{EXP_SUPPORT_FACTOR:g}/kappa overflows")
 
     def raw(t):
         return np.where(t >= 0, np.sqrt(kappa) * np.exp(-0.5 * kappa * t), 0.0)

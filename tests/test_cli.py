@@ -308,8 +308,12 @@ class TestSharedParser:
     def test_import_builds_no_parser(self, monkeypatch):
         made = []
         init = argparse.ArgumentParser.__init__
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
-                            lambda self, *args, **kwargs: made.append(self) or init(self, *args, **kwargs))
+
+        def spy(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
         importlib.reload(cli)
         assert made == []
         assert cli._shared_parser.cache_info().currsize == 0

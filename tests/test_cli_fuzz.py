@@ -14,7 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
-from jpmsim.cli import main
+from jpmsim import sweep
+from jpmsim.cli import PARAM_DEFAULTS, main
 
 #: Values at the edges of the float range, and ordinary ones that let an
 #: argv get past the checks of its other flags.
@@ -23,7 +24,8 @@ ORDINARY = ["0.5", "1", "2"]
 RATES = ["--gamma-tl", "--gamma-0", "--gamma-1", "--gamma-rel", "--freq"]
 #: Each subcommand: its fixed flags and the float flags drawn for it.
 COMMANDS = {
-    "simulate": (["--samples", "3"], RATES + ["--alpha-sq", "--kappa", "--sigma", "--t0", "--t-end"]),
+    "simulate": (["--samples", "3"],
+                 RATES + ["--alpha-sq", "--kappa", "--sigma", "--t0", "--t-end"]),
     "compare": (["--samples", "3"], RATES + ["--alpha-sq", "--t-end"]),
     "efficiency": ([], RATES + ["--gamma-res", "--n-in"]),
     "nep": ([], RATES + ["--gamma-res"]),
@@ -37,19 +39,20 @@ CHOICES = {"simulate": [["--drive", kind] for kind in ("continuous", "exp", "gau
 #: Flags a subcommand must have: drawn every time.
 REQUIRED = {"compare": ["--alpha-sq"], "analytic": ["--alpha-sq"],
             "optimize": ["--alpha-sq", "--t-m"]}
-SPEC_PARAMS = ["gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res", "freq"]
-AXES = ["gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res", "alpha_sq", "kappa",
-        "sigma", "t_m"]
-#: The shape field each pulse kind needs, and the optional one.
+SPEC_PARAMS = list(PARAM_DEFAULTS)
+AXES = sorted(sweep.PARAM_NAMES)
+OBJECTIVES = sorted(sweep.OBJECTIVES)
+#: The width field each drive kind needs.
 SHAPES = {"continuous": [], "exp": ["kappa"], "gauss": ["sigma"]}
-OBJECTIVES = ["pm_at_tm", "eta", "steady_pm", "eta_finite_n"]
-NUMBER = re.compile(r"(?<![\w.])[-+]?(?:nan|inf(?:inity)?)(?![\w.])", re.IGNORECASE)
+#: A printed number that is not finite, as Python or numpy writes it.
+NOT_FINITE = re.compile(r"(?<![\w.])[-+]?(?:nan|inf(?:inity)?)(?![\w.])", re.IGNORECASE)
 ARGVS = 560
 SPECS = 120
 
 
-def draw(rng, edge_share=0.3):
-    pool = EDGES if rng.random() < edge_share else ORDINARY
+def draw(rng):
+    """An edge value three times in ten, else an ordinary one."""
+    pool = EDGES if rng.random() < 0.3 else ORDINARY
     return pool[rng.integers(len(pool))]
 
 
@@ -116,7 +119,7 @@ def check_output(argv, out: str) -> None:
     try:
         data = json.loads(out)
     except ValueError:
-        assert not NUMBER.findall(out), (argv, out)
+        assert not NOT_FINITE.findall(out), (argv, out)
         return
     if isinstance(data, dict) and "failed_cells" in data:
         failed = {tuple(cell) for cell in data["failed_cells"]}

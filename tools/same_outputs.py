@@ -12,10 +12,11 @@ including one that ends on the range boundary and five that must fail,
 seeded ``simulate`` runs of every drive kind (a tabulated pulse from a CSV
 the tool writes) and ``compare`` runs, with the errors of their sampling
 flags, ``analytic`` runs, some of which overflow or sit on a double pole,
-the parser's own outputs: help, usage errors and ``--config`` runs, each
-of these followed by the same command without ``--config``, so that a default
-that outlives its call shows, and inputs whose results overflow. Compares the exit code, stdout, stderr and the bytes of every file each
-command writes, prints every difference and exits 1 if there is one, else 0.
+the parser's own outputs (help, usage errors and ``--config`` runs, each
+followed by the same command without ``--config``, so that a default that
+outlives its call shows), and inputs whose results overflow. Compares the
+exit code, stdout, stderr and the bytes of every file each command writes,
+prints every difference and exits 1 if there is one, else 0.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ RATES = ("gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res")
 #: Each subcommand with the flags of one quick run; the required flags come
 #: first, and a subcommand without any has none to leave out.
 COMMANDS = {
-    "simulate": (["--drive", "continuous"], ["--alpha-sq", "0.1", "--t-end", "5", "--samples", "3"]),
+    "simulate": (["--drive", "continuous"],
+                 ["--alpha-sq", "0.1", "--t-end", "5", "--samples", "3"]),
     "compare": (["--alpha-sq", "0.1"], ["--t-end", "5", "--samples", "3"]),
     "efficiency": ([], ["--gamma-res", "1"]),
     "nep": ([], ["--gamma-0", "0.01", "--gamma-res", "1"]),
@@ -261,7 +263,8 @@ def parser_cases() -> list[dict]:
         missing = [command, *required[2:], *extra] if required else [command, "--gamma-1"]
         bad = ([command, *required, "--format", "xml"] if command == "sweep"
                else [*run, "--gamma-1", "one"])
-        for name, argv in (("--help", [command, "--help"]), ("unrecognized flag", run + ["--bogus"]),
+        for name, argv in (("--help", [command, "--help"]),
+                           ("unrecognized flag", run + ["--bogus"]),
                            ("missing flag", missing), ("bad value", bad), ("run", run)):
             cases.append({"name": f"{command} {name}", "argv": argv, "inputs": inputs})
     configs = [(command, COMMAND_CONFIGS.get(command, {"gamma_1": 2.0}))
