@@ -10,8 +10,10 @@ invariant violation, diverging series, degenerate poles, or a float overflow
 or division by zero).
 
 :func:`main` can be called in process. It builds the parser on its first
-call and reuses it for every later call without ``--config``; a ``--config``
-call builds a parser of its own, so the defaults it sets end with that call.
+call and parses every call's argv with it. Only a ``--config`` in that parse
+opens the JSON file; a parser of its own then parses the argv again with the
+file's defaults, which end with that call. So ``--help`` wins over
+``--config``, and a ``--config`` after the subcommand is unrecognized.
 """
 
 from __future__ import annotations
@@ -95,9 +97,8 @@ def _drive(values: dict, omega_s: float) -> DriveSpec:
             paper_literal=v["paper_literal"],
         )
     if kind == "tab":
-        env = pulses.load_tabulated_csv(required("pulse_file"))
-        grid = np.linspace(env.t_start, env.t_end, 1024)
-        return DriveSpec.tabulated(alpha_sq, omega_s, grid, env(grid))
+        return DriveSpec.tabulated(alpha_sq, omega_s,
+                                   *pulses.load_tabulated_csv(required("pulse_file")))
     raise ValueError(f"unknown drive kind {kind!r}")
 
 
@@ -367,23 +368,20 @@ def _apply_config(parser: _Parser, config: dict) -> None:
         sp.set_defaults(**{k: v for k, v in config.items() if k in sp.dests})
 
 
-def _read_config(argv) -> dict:
-    """The JSON file named by ``--config``, or {} when the flag is absent."""
-    pre = argparse.ArgumentParser(prog="jpmsim", add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is None:
-        return {}
+def _config_parser(path) -> _Parser:
+    """A parser of its own whose defaults are the keys of the JSON file ``path``."""
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    return config
+    parser = build_parser()
+    _apply_config(parser, config)
+    return parser
 
 
 @functools.cache
 def _shared_parser() -> _Parser:
-    """The parser of every call without config defaults, built on first use.
+    """The parser that parses every call first, built on first use.
     ``--config`` sets defaults on a parser of its own, never on this one."""
     return build_parser()
 
@@ -391,13 +389,9 @@ def _shared_parser() -> _Parser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = _read_config(argv)
-        if config:
-            parser = build_parser()
-            _apply_config(parser, config)
-        else:
-            parser = _shared_parser()
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
+        if args.config is not None:  # "" is a path too, and fails to open
+            args = _config_parser(args.config).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return 0 if exc.code in (0, None) else 2

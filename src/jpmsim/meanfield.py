@@ -199,10 +199,8 @@ def integrate(
     t_eval = np.linspace(0.0, t_end, n_samples)
 
     if drive.kind is DriveKind.CONTINUOUS:
-        a0, b = generator(params)
-        with np.errstate(over="ignore", invalid="ignore"):  # wr = inf gives NaN, reported below
-            gen = a0 + rabi_frequency(params, drive) * b
-        y = propagate(gen, GROUND, t_eval)
+        a0, wb = _stacked_generators([(params, drive)])
+        y = propagate(a0[0] + wb[0], GROUND, t_eval)
     else:
         y = integrate_pulses([(params, drive)], t_eval)[0]
 

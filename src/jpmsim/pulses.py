@@ -124,23 +124,30 @@ def tabulated_envelope(times, values) -> Envelope:
     return Envelope(DriveKind.TABULATED, 1.0 / np.sqrt(mass), float(t[0]), float(t[-1]), raw)
 
 
-def load_tabulated_csv(path) -> Envelope:
-    """Read a two-column CSV of (t, f) samples and build a tabulated envelope."""
+def load_tabulated_csv(path) -> tuple[list[float], list[float]]:
+    """The (t, f) samples of a two-column CSV as written, checked as
+    :func:`tabulated_envelope` checks them. Blank rows and ``#`` comments are
+    skipped, and so are rows before the first sample whose time is not a
+    number (a header); any later row that is not two numbers is an error."""
     times, values = [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader, bad = csv.reader(fh), "{} line {}: need two numbers (t, f), got {}"
         for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
             try:
                 t = float(row[0])
             except ValueError:
-                continue  # header line
-            if len(row) < 2:
-                raise ValueError(f"{path} line {reader.line_num}: need two columns (t, f)")
+                if times:
+                    raise ValueError(bad.format(path, reader.line_num, row)) from None
+                continue  # a header, before the first sample
+            try:
+                values.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise ValueError(bad.format(path, reader.line_num, row)) from None
             times.append(t)
-            values.append(float(row[1]))
-    return tabulated_envelope(times, values)
+    tabulated_envelope(times, values)  # raises on samples that make no envelope
+    return times, values
 
 
 def envelope_for(drive: DriveSpec) -> Envelope:

@@ -13,7 +13,7 @@ import pytest
 import jpmsim
 from jpmsim import analytic, cli, meanfield
 from jpmsim.cli import main
-from jpmsim.core import DetectorParams, omega_from_ghz
+from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
 
 
 def run(capsys, *argv):
@@ -317,6 +317,119 @@ class TestSharedParser:
         importlib.reload(cli)
         assert made == []
         assert cli._shared_parser.cache_info().currsize == 0
+
+    def test_plain_call_after_the_first_builds_no_parser(self, capsys, monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        assert main(["match"]) == 0
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert main(["match", "--gamma-1", "2"]) == 0
+        assert main(["efficiency", "--gamma-res", "1", "--ideal"]) == 0
+        assert made == []
+
+
+class TestConfigAfterParse:
+    """--config is read from the parse of the whole argv, so another problem
+    of the argv is reported before the file is opened."""
+
+    def test_help_wins_over_a_missing_config(self, capsys):
+        code, out, err = run(capsys, "--config", "missing.json", "match", "--help")
+        assert code == 0
+        assert out.startswith("usage: jpmsim match")
+        assert err == ""
+
+    def test_unrecognized_flag_before_unknown_config_keys(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"not_a_flag": 1}))
+        code, _, err = run(capsys, "--config", str(cfg), "match", "--bogus")
+        assert code == 2
+        assert "unrecognized arguments: --bogus" in err
+        assert "unknown config keys" not in err
+
+    def test_config_without_a_value_prints_the_full_usage(self, capsys):
+        code, _, err = run(capsys, "--config")
+        assert code == 2
+        assert "{simulate,compare,efficiency,nep,match,analytic,optimize,sweep}" in err
+        assert "expected one argument" in err
+
+    def test_config_after_the_subcommand_is_unrecognized_and_never_opened(self, capsys):
+        code, _, err = run(capsys, "match", "--config", "missing.json")
+        assert code == 2
+        assert "unrecognized arguments: --config missing.json" in err
+        assert "No such file" not in err
+
+    def test_an_empty_config_path_is_opened(self, capsys):
+        code, _, err = run(capsys, "--config", "", "match")
+        assert code == 2
+        assert "No such file" in err
+
+
+def spike_table() -> str:
+    """A (t, f) CSV of 4,001 rows: a sine-squared hump over 20 ns with one
+    sample raised 40-fold, a spike narrower than any resampling grid's step."""
+    t = np.linspace(0.0, 20.0, 4001)
+    f = np.sin(np.pi * t / 20.0) ** 2
+    f[1000] *= 40.0
+    return "t,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), f.tolist()))
+
+
+class TestPulseFile:
+    """A pulse file's rows are the drive's table, unchanged."""
+
+    @pytest.fixture
+    def table(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spike.csv").write_text(spike_table())
+        t, f = np.loadtxt(tmp_path / "spike.csv", delimiter=",", skiprows=1).T
+        params = DetectorParams(gamma_tl=0.7, gamma_0=0.0, gamma_1=1.3, gamma_rel=0.0,
+                                gamma_res=0.0, omega_0=omega_from_ghz(5.0))
+        return params, DriveSpec.tabulated(0.4, params.omega_0, t, f)
+
+    def test_simulate_integrates_the_file_as_written(self, capsys, monkeypatch, table):
+        params, drive = table
+        seen = []
+        integrate = meanfield.integrate
+
+        def spy(*args):
+            seen.append(integrate(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(meanfield, "integrate", spy)
+        argv = ["simulate", "--drive", "tab", "--pulse-file", "spike.csv", "--alpha-sq", "0.4",
+                "--gamma-tl", "0.7", "--gamma-1", "1.3", "--t-end", "20", "--samples", "41"]
+        assert run(capsys, *argv)[0] == 0
+        want = integrate(params, drive, 20.0, 41)
+        assert seen[0].drive == drive
+        assert np.array_equal(seen[0].pm, want.pm)
+
+    def test_one_cell_sweep_integrates_the_file_as_written(self, capsys, tmp_path, table):
+        params, drive = table
+        spec = {"axis1": {"name": "gamma_tl", "min": 0.7, "max": 0.7, "points": 1},
+                "params": {"gamma_1": 1.3}, "t_m": 20.0,
+                "drive": {"kind": "tab", "pulse_file": "spike.csv", "alpha_sq": 0.4}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        code, out, _ = run(capsys, "sweep", "--spec", "spec.json", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["values"] == [meanfield.integrate(params, drive, 20.0, 2).pm[-1]]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--drive", "tab", "--pulse-file", "typo.csv"],
+        ["sweep", "--spec", "spec.json", "--format", "json"],
+    ], ids=["simulate", "sweep"])
+    def test_malformed_row_after_the_first_sample_exits_2(
+            self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "typo.csv").write_text("t,f\n0,0\n1,1\n1.5O,5\n2,0\n")
+        spec = {"axis1": AXIS, "t_m": 5.0, "drive": {"kind": "tab", "pulse_file": "typo.csv"}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "typo.csv line 4: need two numbers (t, f), got ['1.5O', '5']" in err
 
 
 AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}

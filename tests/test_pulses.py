@@ -105,8 +105,20 @@ class TestTabulated:
             fh.write("t,f\n")
             for ti, fi in zip(t, f):
                 fh.write(f"{ti},{fi}\n")
-        env = pulses.load_tabulated_csv(path)
+        env = pulses.tabulated_envelope(*pulses.load_tabulated_csv(path))
         assert pulses.squared_norm(env) == pytest.approx(1.0, abs=1e-4)
+
+    def test_loaded_as_written(self, tmp_path):
+        path = tmp_path / "pulse.csv"
+        path.write_text("# a comment\ntime,amp\n\n0,0\n0.1,3e-1\n# a note\n\n2.5,0\n")
+        assert pulses.load_tabulated_csv(path) == ([0.0, 0.1, 2.5], [0.0, 0.3, 0.0])
+
+    @pytest.mark.parametrize("row", ["1.5O,5", "2,x", "2", ",5"])
+    def test_malformed_row_after_the_first_sample_names_its_line(self, tmp_path, row):
+        path = tmp_path / "pulse.csv"
+        path.write_text(f"t,f\n0,0\n1,1\n{row}\n3,0\n")
+        with pytest.raises(ValueError, match="pulse.csv line 4: need two numbers"):
+            pulses.load_tabulated_csv(path)
 
     def test_zero_outside_support(self):
         env = pulses.tabulated_envelope([1.0, 2.0, 3.0], [0.5, 1.0, 0.5])

@@ -88,3 +88,16 @@ def test_parser_cases_follow_each_config_with_the_plain_command(tmp_path):
     out = same_outputs.run_cases(cases[:3] + cases[-6:], tmp_path)
     assert [r["exit"] for r in out] == [0, 2, 2] + [2, 0] * 3
     assert "{simulate,compare,efficiency,nep,match,analytic,optimize,sweep}" in out[1]["stderr"]
+
+
+def test_config_order_cases_follow_each_config_with_the_plain_command(tmp_path):
+    cases = same_outputs.config_order_cases()
+    configs = [i for i, case in enumerate(cases) if "--config" in case["argv"]]
+    assert len(configs) == 4
+    for i in configs:
+        assert "--config" not in cases[i + 1]["argv"]
+    out = same_outputs.run_cases(cases, tmp_path)
+    assert [r["exit"] for r in out] == [0, 0, 2, 2, 2, 2, 2, 0, 0, 0, 0]
+    assert out[0]["stdout"] == out[1]["stdout"]
+    assert list(out[8]["files"]) == ["traj.csv"]
+    assert len(json.loads(out[9]["stdout"])["values"]) == 4

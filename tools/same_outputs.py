@@ -14,7 +14,9 @@ the tool writes) and ``compare`` runs, with the errors of their sampling
 flags, ``analytic`` runs, some of which overflow or sit on a double pole,
 the parser's own outputs (help, usage errors and ``--config`` runs, each
 followed by the same command without ``--config``, so that a default that
-outlives its call shows), and inputs whose results overflow. Compares the
+outlives its call shows), inputs whose results overflow, ``--config`` beside
+another problem of the argv, and a spiked 4,001-row pulse file through
+``simulate`` and ``sweep``. Compares the
 exit code, stdout, stderr and the bytes of every file each command writes,
 prints every difference and exits 1 if there is one, else 0.
 """
@@ -305,11 +307,42 @@ def overflow_cases() -> list[dict]:
             + sweep_cases("gauss sigma 5e-324", spec))
 
 
+def spike_table() -> str:
+    """A (t, f) CSV of 4,001 rows: a sine-squared hump over 20 ns with one
+    sample raised 40-fold, narrower than any resampling grid's step."""
+    t = np.linspace(0.0, 20.0, 4001)
+    f = np.sin(np.pi * t / 20.0) ** 2
+    f[1000] *= 40.0
+    return "t,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), f.tolist()))
+
+
+def config_order_cases() -> list[dict]:
+    """``--config`` meeting another problem of the argv (``--help``, an
+    unrecognized flag, no value, a place after the subcommand), each followed
+    by the same command without ``--config``; then the spiked pulse file of
+    :func:`spike_table` through ``simulate`` and a sweep."""
+    pairs = [(["--config", "missing.json", "match", "--help"], ["match", "--help"]),
+             (["--config", "bad.json", "match", "--bogus"], ["match", "--bogus"]),
+             (["--config"], []),
+             (["match", "--config", "missing.json"], ["match"])]
+    inputs = {"bad.json": json.dumps({"not_a_flag": 1})}
+    cases = [{"name": f"config order: {' '.join(argv)}", "argv": argv, "inputs": inputs}
+             for pair in pairs for argv in pair]
+    table = {"spike.csv": spike_table()}
+    cases.append({"name": "simulate spike table", "inputs": table, "argv": [
+        "simulate", "--drive", "tab", "--pulse-file", "spike.csv", "--alpha-sq", "0.4",
+        "--t-end", "25", "--output", "traj.csv"]})
+    spec = {"axis1": {"name": "gamma_tl", "min": 0.3, "max": 3.0, "points": 4},
+            "drive": {"kind": "tab", "pulse_file": "spike.csv", "alpha_sq": 0.4}, "t_m": 20.0}
+    return cases + [{**case, "inputs": {**case["inputs"], **table}}
+                    for case in sweep_cases("tab spike table", spec)]
+
+
 def all_cases(checkout: Path) -> list[dict]:
     seeded = [case for seed in range(SEEDED_GRIDS)
               for case in sweep_cases(f"continuous 8x8 seed {seed}", seeded_grid(seed))]
     return (test_grid_cases(checkout) + seeded + optimize_cases() + simulate_cases()
-            + analytic_cases() + parser_cases() + overflow_cases())
+            + analytic_cases() + parser_cases() + overflow_cases() + config_order_cases())
 
 
 def run_cases(cases: list[dict], workdir: Path) -> list[dict]:
