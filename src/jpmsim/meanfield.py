@@ -36,7 +36,7 @@ from scipy.integrate import ODEintWarning, odeint, solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
 from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int
-from .pulses import envelope_for
+from .pulses import checked_table, envelope_for
 
 #: Post-pulse integration tail, in units of 1/gamma_1, to capture tunneling
 #: that continues after the envelope has passed.
@@ -113,11 +113,17 @@ def rabi_frequency(params: DetectorParams, drive: DriveSpec) -> float:
     return np.sqrt(2.0 * drive.alpha_sq * params.gamma_tl / np.pi)
 
 
+# A0 has one nonzero per row: entry (i, _A0_COLS[i]), so A0 y = (y @ _A0_PICK) * (those
+# entries). v decays, and p1 decays and feeds p0 and pm.
+_A0_ROWS, _A0_COLS = np.arange(4), np.array([0, 2, 2, 2])
+_A0_PICK = np.eye(4)[_A0_COLS].T
+
+
 def _a0_stack(ps: Sequence[DetectorParams]) -> np.ndarray:
     """The (N, 4, 4) stack of the A0 of :func:`generator` for N detectors ``ps``."""
-    a0, gt = np.zeros((len(ps), 4, 4)), np.array([p.gamma_tilde for p in ps], float)
-    a0[:, 0, 0], a0[:, 2, 2] = -0.5 * gt, -gt
-    a0[:, 1, 2], a0[:, 3, 2] = [p.gamma_tl + p.gamma_rel for p in ps], [p.gamma_1 for p in ps]
+    a0 = np.zeros((len(ps), 4, 4))
+    a0[:, _A0_ROWS, _A0_COLS] = [(-0.5 * p.gamma_tilde, p.gamma_tl + p.gamma_rel, -p.gamma_tilde,
+                                  p.gamma_1) for p in ps]
     return a0
 
 
@@ -166,8 +172,11 @@ def _default_t_end(params: DetectorParams, drive: DriveSpec) -> float:
             raise ValueError("gamma_tilde = 0: no default t_end (20 / gamma_tilde); pass t_end")
         t_end, rule = 20.0 / params.gamma_tilde, "20 / gamma_tilde"
     else:
+        # a table's end is its last time: checked, but with no envelope built
+        end = (float(checked_table(drive.table_t, drive.table_f)[0][-1])
+               if drive.kind is DriveKind.TABULATED else envelope_for(drive).t_end)
         g1 = params.gamma_1
-        t_end = envelope_for(drive).t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
+        t_end = end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
         rule = f"the pulse's end + {PULSE_TAIL_FACTOR:g} / gamma_1"
     if not np.isfinite(t_end):
         raise ValueError(f"default t_end = {rule} overflows; pass t_end")
@@ -220,15 +229,19 @@ def integrate_pulses(
     pass :func:`_check_preconditions` (the callers check). ``t_eval`` is the
     increasing sample grid from 0. Returns y of shape (N, 4, len(t_eval)).
     The Jacobian is block diagonal, one block A0_k + omega_R,k f(t) B per
-    cell, and LSODA gets it as a band. A failed step raises
-    IntegrationError; the invariants are left to the caller.
+    cell, and LSODA gets it as a band. The right-hand side takes two small
+    products of the states Y = y.reshape(N, 4), with no (N, 4, 4) stack:
+    A0_k y_k is the column of Y that each row of A0 multiplies (Y @
+    _A0_PICK) times that row's one nonzero, and the drive part is
+    f(t) omega_R,k (Y @ B.T). A failed step raises IntegrationError; the
+    invariants are left to the caller.
     """
     key = envelope_key(cells[0][1])
     if any(envelope_key(drive) != key for _, drive in cells):
         raise ValueError("stacked pulse cells must share one envelope")
+    env = envelope_for(cells[0][1])  # before t_eval: a bad table is the error to report
     if len(t_eval) < 2 or t_eval[0] != 0.0 or not np.all(np.diff(t_eval) > 0):
         raise ValueError("t_eval must increase from 0 and hold at least two times")
-    env = envelope_for(cells[0][1])
 
     n = len(cells)
     a0, wb = _stacked_generators(cells)  # wb[k] = omega_R,k B; f(t) is shared
@@ -236,9 +249,19 @@ def integrate_pulses(
     band_a0, band_wb = np.zeros((7, 4 * n)), np.zeros((7, 4 * n))
     band_a0[_BAND_ROW, band_col] = a0
     band_wb[_BAND_ROW, band_col] = wb
+    rates, rabi = a0[:, _A0_ROWS, _A0_COLS], wb[:, 0, 1:2]  # B[0, 1] = 1
+    # A cell whose omega_R overflows gets an all-NaN derivative, as (A0 + f wb) y
+    # gave it, and ends in a NaN state; inf beside NaN makes LSODA stop with
+    # "illegal input" at a garbage time.
+    rates[~np.isfinite(rabi[:, 0])] = np.nan
+    drive_t = _DRIVE.T
 
     def rhs(t, y):
-        return ((a0 + env(t) * wb) @ y.reshape(n, 4, 1)).ravel()
+        y = y.reshape(n, 4)
+        dy = y.dot(_A0_PICK)
+        dy *= rates
+        dy += env(t) * rabi * y.dot(drive_t)
+        return dy.ravel()
 
     def jac(t, y):
         return band_a0 + env(t) * band_wb

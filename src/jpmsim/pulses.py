@@ -8,6 +8,7 @@ the mean photon number of the wave packet.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +35,10 @@ class Envelope:
     t_start, t_end : float
         Effective support; evaluation outside is still defined (and tiny)
         for the analytic shapes, exactly zero for tabulated ones.
+
+    A Python float, which is what ``odeint`` passes, is evaluated by
+    ``_raw_float`` with ``math``, without numpy's 0-d arrays; it agrees with
+    the array path to within rounding.
     """
 
     kind: DriveKind
@@ -41,8 +46,11 @@ class Envelope:
     t_start: float
     t_end: float
     _raw: Callable[[np.ndarray], np.ndarray]
+    _raw_float: Callable[[float], float]
 
     def __call__(self, t):
+        if t.__class__ is float:  # not np.float64, a subclass
+            return self.c * self._raw_float(t)
         t = np.asarray(t, dtype=float)
         out = self.c * self._raw(t)
         if out.ndim == 0:
@@ -62,10 +70,15 @@ def exponential_envelope(kappa: float) -> Envelope:
         raise ValueError(f"kappa = {float(kappa)!r} too small: the support "
                          f"{EXP_SUPPORT_FACTOR:g}/kappa overflows")
 
-    def raw(t):
-        return np.where(t >= 0, np.sqrt(kappa) * np.exp(-0.5 * kappa * t), 0.0)
+    sqrt_kappa = math.sqrt(kappa)
 
-    return Envelope(DriveKind.EXPONENTIAL, 1.0, 0.0, t_end, raw)
+    def raw(t):
+        return np.where(t >= 0, sqrt_kappa * np.exp(-0.5 * kappa * t), 0.0)
+
+    def raw_float(t):
+        return sqrt_kappa * math.exp(-0.5 * kappa * t) if t >= 0 else 0.0
+
+    return Envelope(DriveKind.EXPONENTIAL, 1.0, 0.0, t_end, raw, raw_float)
 
 
 @np.errstate(over="ignore")  # a support that overflows raises below
@@ -93,11 +106,18 @@ def gaussian_envelope(
             f"t0 = {t0} too small: support would start at {t0 - half_width} < 0"
         )
 
-    def raw(t):
-        return (8.0 * np.pi * sigma**2) ** 0.25 * np.exp(-(sigma**2) * (t - t0) ** 2)
+    pref, s2 = float((8.0 * np.pi * sigma**2) ** 0.25), float(sigma**2)
+    t0 = float(t0)
 
-    c = 1.0 if paper_literal else 1.0 / np.sqrt(TWO_PI)
-    return Envelope(DriveKind.GAUSSIAN, c, t0 - half_width, t0 + half_width, raw)
+    def raw(t):
+        return pref * np.exp(-s2 * (t - t0) ** 2)
+
+    def raw_float(t):
+        d = t - t0  # d * d: a product gives inf where d ** 2 raises OverflowError
+        return pref * math.exp(-s2 * (d * d))
+
+    c = 1.0 if paper_literal else 1.0 / math.sqrt(TWO_PI)
+    return Envelope(DriveKind.GAUSSIAN, c, t0 - half_width, t0 + half_width, raw, raw_float)
 
 
 def tabulated_envelope(times, values) -> Envelope:
@@ -105,6 +125,25 @@ def tabulated_envelope(times, values) -> Envelope:
 
     Evaluates to exactly zero outside the sampled interval.
     """
+    t, f = checked_table(times, values)
+
+    def raw(x):
+        return np.interp(x, t, f, left=0.0, right=0.0)
+
+    def raw_float(x):
+        return float(np.interp(x, t, f, left=0.0, right=0.0))
+
+    grid = np.linspace(t[0], t[-1], max(4096, 8 * t.size))
+    mass = np.trapezoid(raw(grid) ** 2, grid)
+    if mass <= 0:
+        raise ValueError("tabulated envelope has zero norm")
+    return Envelope(DriveKind.TABULATED, 1.0 / math.sqrt(mass), float(t[0]), float(t[-1]), raw,
+                    raw_float)
+
+
+def checked_table(times, values) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, f) samples of a tabulated envelope as float arrays, checked
+    as :func:`tabulated_envelope` needs them, short of their norm."""
     t = np.asarray(times, dtype=float)
     f = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != f.shape or t.size < 2:
@@ -113,15 +152,7 @@ def tabulated_envelope(times, values) -> Envelope:
         raise ValueError("samples must be finite numbers")
     if np.any(np.diff(t) <= 0):
         raise ValueError("sample times must be strictly increasing")
-
-    def raw(x):
-        return np.interp(x, t, f, left=0.0, right=0.0)
-
-    grid = np.linspace(t[0], t[-1], max(4096, 8 * t.size))
-    mass = np.trapezoid(raw(grid) ** 2, grid)
-    if mass <= 0:
-        raise ValueError("tabulated envelope has zero norm")
-    return Envelope(DriveKind.TABULATED, 1.0 / np.sqrt(mass), float(t[0]), float(t[-1]), raw)
+    return t, f
 
 
 def load_tabulated_csv(path) -> tuple[list[float], list[float]]:

@@ -184,15 +184,24 @@ def _pm_at_cells(group: list, values: np.ndarray) -> None:
 def _pm_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
     """pm_at_tm of each cell that can be built; the cells are gathered by
     envelope, all continuous-drive cells into one group, and each group is
-    one :func:`meanfield.pm_at` call. A cell that fails is NaN."""
+    one :func:`meanfield.pm_at` call. A cell that fails is NaN. Each distinct
+    detector and drive is built once, not once per cell."""
     values = np.full(built.shape, np.nan)
     swept = {t: {name: m for name, m in mesh.items() if PARAM_TARGETS[name] == t}
              for t in ("params", "drive")}
+    made = {}  # (target, its swept values) -> the detector or drive built from them
+
+    def build(target, fields, idx):
+        if not fields:  # the spec's own detector or drive
+            return getattr(spec, target)
+        key = (target, *(m[idx] for m in fields.values()))
+        if key not in made:
+            made[key] = replace(getattr(spec, target), **dict(zip(fields, key[1:])))
+        return made[key]
+
     groups = {}  # envelope key -> cells that share it
     for idx in zip(*np.nonzero(built)):
-        # the spec's own detector or drive where none of its fields is swept
-        params, drive = (replace(getattr(spec, t), **{name: m[idx] for name, m in fields.items()})
-                         if fields else getattr(spec, t) for t, fields in swept.items())
+        params, drive = (build(t, fields, idx) for t, fields in swept.items())
         t_m = mesh["t_m"][idx] if "t_m" in mesh else spec.t_m
         # checked per cell, as it takes two fields at once; a failing cell stays out
         with contextlib.suppress(ValueError):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import jpmsim
-from jpmsim import analytic, cli, meanfield
+from jpmsim import analytic, cli, meanfield, pulses
 from jpmsim.cli import main
 from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
 
@@ -406,6 +406,22 @@ class TestPulseFile:
         want = integrate(params, drive, 20.0, 41)
         assert seen[0].drive == drive
         assert np.array_equal(seen[0].pm, want.pm)
+
+    def test_simulate_builds_the_envelope_twice(self, capsys, monkeypatch, table):
+        # in load_tabulated_csv's check and in the integration; the default
+        # t_end reads the table's end without building it
+        built = []
+        tabulated_envelope = pulses.tabulated_envelope
+
+        def spy(*args):
+            built.append(tabulated_envelope(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pulses, "tabulated_envelope", spy)
+        argv = ["simulate", "--drive", "tab", "--pulse-file", "spike.csv", "--alpha-sq", "0.4",
+                "--samples", "5"]
+        assert run(capsys, *argv)[0] == 0
+        assert len(built) == 2
 
     def test_one_cell_sweep_integrates_the_file_as_written(self, capsys, tmp_path, table):
         params, drive = table

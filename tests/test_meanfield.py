@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from jpmsim import analytic, meanfield, pulses, rate
+from jpmsim import analytic, meanfield, pulses, rate, sweep
 from jpmsim.core import DetectorParams, DriveKind, DriveSpec, omega_from_ghz
 
 OMEGA = omega_from_ghz(5.0)
@@ -242,6 +242,75 @@ class TestPulseLSODA:
             block = dense[4 * k:4 * k + 4, 4 * k:4 * k + 4]
             np.testing.assert_allclose(block, a0 + meanfield.rabi_frequency(p, d) * env(t) * b,
                                        rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_rhs_is_the_generator_product(self, monkeypatch, n):
+        # the two-product right-hand side against (A0_k + f(t) omega_R,k B) y_k,
+        # with relaxation in some cells and gamma_1 = 0 in others
+        seen = []
+        odeint = meanfield.odeint
+
+        def spy(func, y0, t, **kw):
+            seen.append(func)
+            return odeint(func, y0, t, **kw)
+
+        monkeypatch.setattr(meanfield, "odeint", spy)
+        rng = np.random.default_rng(64)
+        drive = DriveSpec.gaussian(1.0, OMEGA, 0.8)
+        cells = [(make_params(gamma_tl=10.0 ** rng.uniform(-1, 1), gamma_1=(k % 3 != 1) * g1,
+                              gamma_rel=(k % 2 == 0) * 0.3 * rng.random()),
+                  replace(drive, alpha_sq=10.0 ** rng.uniform(-2, 0.7)))
+                 for k, g1 in enumerate(10.0 ** rng.uniform(-1, 1, size=n))]
+        meanfield.integrate_pulses(cells, np.array([0.0, 2.0]))
+        env = pulses.envelope_for(drive)
+        blocks = [(meanfield.generator(p), meanfield.rabi_frequency(p, d)) for p, d in cells]
+        for t in (0.3, 2.9, 6.1):
+            y = rng.uniform(-1.0, 1.0, size=(n, 4))
+            want = np.concatenate([(a0 + env(t) * wr * b) @ yk
+                                   for ((a0, b), wr), yk in zip(blocks, y)])
+            got = seen[0](t, y.ravel())
+            assert got.shape == (4 * n,)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+    def test_overflowing_rabi_rate_fails_as_nan_states(self, monkeypatch):
+        # omega_R = inf: every derivative of the cell is NaN, so the run ends
+        # at a NaN state, not in an LSODA "illegal input" at a garbage time
+        drive = DriveSpec.gaussian(1e300, OMEGA, 1.0)
+        with pytest.raises(meanfield.InvariantViolation, match="p0 = nan"):
+            meanfield.integrate(make_params(gamma_tl=1e10), drive)
+        errors = []
+        pm_at = meanfield.pm_at
+
+        def spy(cells, *args):
+            try:
+                return pm_at(cells, *args)
+            except Exception as exc:
+                errors.append(exc)
+                raise
+
+        monkeypatch.setattr(meanfield, "pm_at", spy)
+        # gamma_tl 1e308 with alpha_sq 10 overflows omega_R; gamma_tl 1 does not
+        spec = sweep.SweepSpec(axis1=sweep.SweepAxis("gamma_tl", 1.0, 1e308, 2),
+                               params=make_params(), drive=replace(drive, alpha_sq=10.0), t_m=10.0)
+        res = sweep.run_sweep(spec)
+        assert res.errors == ((1,),)
+        assert 0.0 < res.values[0] < 1.0
+        assert errors and all(isinstance(exc, meanfield.InvariantViolation)
+                              and "p0 = nan" in str(exc) for exc in errors)
+
+    @pytest.mark.parametrize("times,values,gamma_1,message", [
+        ([0.0], [1.0], 1.0, "at least 2 samples"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], 1.0, "matching"),
+        ([0.0, np.nan], [0.0, 1.0], 1.0, "finite"),
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 0.0], 1.0, "strictly increasing"),
+        ([0.0, 1.0], [0.0, 0.0], 1.0, "zero norm"),
+        ([-2.0, -1.0], [0.0, 0.0], 0.0, "zero norm"),  # the default t_end is -1
+    ])
+    def test_bad_table_error_with_default_t_end(self, times, values, gamma_1, message):
+        # the default t_end reads the table's end without building its envelope
+        drive = DriveSpec.tabulated(0.3, OMEGA, times, values)
+        with pytest.raises(ValueError, match=message):
+            meanfield.integrate(make_params(gamma_1=gamma_1), drive)
 
     def test_stacked_cells_need_one_envelope(self):
         p = make_params()

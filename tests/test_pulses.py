@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -132,3 +134,37 @@ class TestTabulated:
             pulses.tabulated_envelope([0.0, 1.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
             pulses.tabulated_envelope([0.0, 1.0, 2.0], [0.0, np.nan, 0.0])
+
+
+FLOAT_PATH_ENVELOPES = {
+    "exp": lambda: pulses.exponential_envelope(1.7),
+    "gauss": lambda: pulses.gaussian_envelope(0.8),
+    "gauss-paper-literal": lambda: pulses.gaussian_envelope(2.5, t0=4.0, paper_literal=True),
+    "table": lambda: pulses.tabulated_envelope([0.5, 1.5, 3.0, 4.0], [0.0, 1.0, 0.6, 0.0]),
+}
+
+
+class TestFloatPath:
+    """A Python float, as odeint passes it, goes through math, not 0-d arrays."""
+
+    @pytest.mark.parametrize("name", list(FLOAT_PATH_ENVELOPES))
+    def test_agrees_with_the_array_path(self, name):
+        env = FLOAT_PATH_ENVELOPES[name]()
+        span = env.t_end - env.t_start
+        t = np.linspace(env.t_start - 0.1 * span, env.t_end + 0.1 * span, 997)
+        array = env(t)
+        scalar = [env(float(x)) for x in t]
+        assert all(type(x) is float for x in scalar)
+        assert np.all(np.abs(np.array(scalar) - array) <= 2 * np.spacing(array))
+        assert array.max() > 0.5
+
+    @pytest.mark.parametrize("name,t", [
+        ("exp", -1e-300), ("exp", -1.0), ("exp", -1e300),
+        ("gauss", -1e200), ("gauss", 1e200), ("gauss-paper-literal", 4.0 + 1e200),
+        ("table", 0.4), ("table", 4.1), ("table", -1e300), ("table", 1e300),
+    ])
+    def test_zero_outside_without_error_or_warning(self, name, t):
+        env = FLOAT_PATH_ENVELOPES[name]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert env(t) == 0.0

@@ -288,6 +288,14 @@ class TestStackedPulses:
             assert calls == ([6] if continuous else pulse_calls)
         assert integrated == []
 
+    @pytest.mark.parametrize("cls", [DetectorParams, DriveSpec])
+    def test_builds_each_swept_detector_and_drive_once(self, monkeypatch, cls):
+        # an 8x8 gamma_tl x alpha_sq grid has 8 detectors and 8 drives
+        spec = sweep.SweepSpec(axis1=Ax("gamma_tl", 0.2, 5.0, 8), axis2=Ax("alpha_sq", 0.05, 3.0, 8),
+                               params=make_params(gamma_rel=0.3),
+                               drive=DriveSpec.gaussian(1.0, OMEGA, 1.2), t_m=15.0)
+        assert count_built(monkeypatch, spec, [cls]) == 8
+
     @pytest.mark.parametrize("axis1", [Ax("gamma_rel", 0.01, 1.0, 8), Ax("t_m", 0.5, 40.0, 8)],
                              ids=["gamma_rel", "t_m"])
     def test_continuous_grid_is_one_call(self, monkeypatch, axis1):
@@ -441,10 +449,10 @@ def rate_spec(name, objective, seed):
                            objective=objective, n_in=0.3)
 
 
-def count_built(monkeypatch, spec):
-    """How many DetectorParams and DriveSpec run_sweep(spec) builds."""
+def count_built(monkeypatch, spec, classes=(DetectorParams, DriveSpec)):
+    """How many objects of ``classes`` run_sweep(spec) builds."""
     built = []
-    for cls in (DetectorParams, DriveSpec):
+    for cls in classes:
         def spy(self, init=cls.__post_init__):
             built.append(self)
             init(self)
