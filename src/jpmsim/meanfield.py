@@ -116,7 +116,7 @@ def rabi_frequency(params: DetectorParams, drive: DriveSpec) -> float:
 # A0 has one nonzero per row: entry (i, _A0_COLS[i]), so A0 y = (y @ _A0_PICK) * (those
 # entries). v decays, and p1 decays and feeds p0 and pm.
 _A0_ROWS, _A0_COLS = np.arange(4), np.array([0, 2, 2, 2])
-_A0_PICK = np.eye(4)[_A0_COLS].T
+_A0_PICK = (np.arange(4)[:, None] == _A0_COLS).astype(float)
 
 
 def _a0_stack(ps: Sequence[DetectorParams]) -> np.ndarray:
@@ -249,12 +249,13 @@ def integrate_pulses(
     band_a0, band_wb = np.zeros((7, 4 * n)), np.zeros((7, 4 * n))
     band_a0[_BAND_ROW, band_col] = a0
     band_wb[_BAND_ROW, band_col] = wb
-    rates, rabi = a0[:, _A0_ROWS, _A0_COLS], wb[:, 0, 1:2]  # B[0, 1] = 1
+    # C-contiguous operands: strided ones made the right-hand side about 20 % slower
+    rates, rabi = a0[:, _A0_ROWS, _A0_COLS], wb[:, 0, 1:2].copy()  # B[0, 1] = 1
     # A cell whose omega_R overflows gets an all-NaN derivative, as (A0 + f wb) y
     # gave it, and ends in a NaN state; inf beside NaN makes LSODA stop with
     # "illegal input" at a garbage time.
     rates[~np.isfinite(rabi[:, 0])] = np.nan
-    drive_t = _DRIVE.T
+    drive_t = _DRIVE.T.copy()
 
     def rhs(t, y):
         y = y.reshape(n, 4)
