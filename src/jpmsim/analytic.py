@@ -27,10 +27,6 @@ POLE_TOL = 1e-8
 #: the double roots of 150 detectors (gamma_tl, gamma_1 in 0.03-30): the
 #: error was at most 103 and in the median 10 times eps * R * scale / sep.
 ERROR_GAIN = 128.0
-#: Relative distance of a root from the exact pole at 0 below which it
-#: collides with it. The error law above does not hold for this pair: a root
-#: near 0 comes out of numpy.roots to full relative accuracy.
-COLLISION_TOL = 1e-9
 
 
 class DegeneratePoles(RuntimeError):
@@ -108,23 +104,22 @@ def continuous_pm_poles(params: DetectorParams, alpha_sq: float) -> PoleSet:
 
     The cubic of :func:`_cubic` is solved via the companion matrix
     (numpy.roots); the printed radical expressions are deliberately not
-    transcribed. Raises DegeneratePoles where a root collides with the pole
-    at 0, or where two roots lie so close that, by the error law of
-    ERROR_GAIN, the reconstruction may miss pm by more than POLE_TOL.
+    transcribed. Raises DegeneratePoles where two roots lie so close, or a
+    residue is so large, that by the error law of ERROR_GAIN the
+    reconstruction may miss pm by more than POLE_TOL. A root near the pole at
+    0 comes out of numpy.roots to full relative accuracy and passes; one that
+    comes out exactly 0 has an infinite residue and fails.
     """
     _require_lossless(params, "pole decomposition")
     coeffs = _cubic(params, alpha_sq)
     if coeffs[3] == 0:
         raise ValueError("pole decomposition needs alpha_sq > 0 and gamma_1 > 0")
     roots = np.roots(coeffs)
-    scale = max(np.max(np.abs(roots)), 1e-300)
-    for s in roots:
-        if abs(s) < COLLISION_TOL * scale:
-            raise DegeneratePoles(f"root {s} collides with the pole at 0")
+    scale = np.max(np.abs(roots))  # > 0: coeffs[3] != 0, so some root is nonzero
 
     # residue at a simple root s_i of the cubic C: (g1 wr^2/2) / (s_i C'(s_i))
     dC = np.polyder(np.poly1d(coeffs))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a double root: rejected below
+    with np.errstate(divide="ignore", invalid="ignore"):  # a double or zero root: rejected below
         residues = np.array([coeffs[3] / (si * dC(si)) for si in roots], dtype=complex)
     sep = min(abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2]))
     r_max = np.max(np.abs(residues))

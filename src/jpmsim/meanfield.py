@@ -36,7 +36,7 @@ from scipy.integrate import ODEintWarning, odeint, solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
 from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int
-from .pulses import checked_table, envelope_for
+from .pulses import envelope_for
 
 #: Post-pulse integration tail, in units of 1/gamma_1, to capture tunneling
 #: that continues after the envelope has passed.
@@ -172,11 +172,8 @@ def _default_t_end(params: DetectorParams, drive: DriveSpec) -> float:
             raise ValueError("gamma_tilde = 0: no default t_end (20 / gamma_tilde); pass t_end")
         t_end, rule = 20.0 / params.gamma_tilde, "20 / gamma_tilde"
     else:
-        # a table's end is its last time: checked, but with no envelope built
-        end = (float(checked_table(drive.table_t, drive.table_f)[0][-1])
-               if drive.kind is DriveKind.TABULATED else envelope_for(drive).t_end)
         g1 = params.gamma_1
-        t_end = end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
+        t_end = envelope_for(drive).t_end + (PULSE_TAIL_FACTOR / g1 if g1 > 0 else 0.0)
         rule = f"the pulse's end + {PULSE_TAIL_FACTOR:g} / gamma_1"
     if not np.isfinite(t_end):
         raise ValueError(f"default t_end = {rule} overflows; pass t_end")

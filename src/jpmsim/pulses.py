@@ -106,8 +106,10 @@ def gaussian_envelope(
             f"t0 = {t0} too small: support would start at {t0 - half_width} < 0"
         )
 
-    pref, s2 = float((8.0 * np.pi * sigma**2) ** 0.25), float(sigma**2)
-    t0 = float(t0)
+    s2 = float(sigma) * float(sigma)  # a product: sigma ** 2 raises OverflowError
+    if not math.isfinite(s2):
+        raise ValueError(f"sigma = {float(sigma)!r} too large: sigma^2 overflows")
+    pref, t0 = (8.0 * math.pi * s2) ** 0.25, float(t0)
 
     def raw(t):
         return pref * np.exp(-s2 * (t - t0) ** 2)
@@ -121,11 +123,22 @@ def gaussian_envelope(
 
 
 def tabulated_envelope(times, values) -> Envelope:
-    """Linear interpolation through (t, f) samples, renormalized to unit norm.
-
-    Evaluates to exactly zero outside the sampled interval.
+    """Linear interpolation through (t, f) samples, exactly zero outside them,
+    scaled to unit norm by the exact knot sum: on an interval of width h from
+    f_i to f_j the interpolant's square integrates to h (f_i^2 + f_i f_j + f_j^2) / 3.
     """
-    t, f = checked_table(times, values)
+    t = np.asarray(times, dtype=float)
+    f = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != f.shape or t.size < 2:
+        raise ValueError("need matching 1-d arrays with at least 2 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):
+        raise ValueError("samples must be finite numbers")
+    h = np.diff(t)
+    if np.any(h <= 0):
+        raise ValueError("sample times must be strictly increasing")
+    mass = float(h @ (f[:-1] ** 2 + f[:-1] * f[1:] + f[1:] ** 2)) / 3.0
+    if mass <= 0:
+        raise ValueError("tabulated envelope has zero norm")
 
     def raw(x):
         return np.interp(x, t, f, left=0.0, right=0.0)
@@ -133,26 +146,8 @@ def tabulated_envelope(times, values) -> Envelope:
     def raw_float(x):
         return float(np.interp(x, t, f, left=0.0, right=0.0))
 
-    grid = np.linspace(t[0], t[-1], max(4096, 8 * t.size))
-    mass = np.trapezoid(raw(grid) ** 2, grid)
-    if mass <= 0:
-        raise ValueError("tabulated envelope has zero norm")
     return Envelope(DriveKind.TABULATED, 1.0 / math.sqrt(mass), float(t[0]), float(t[-1]), raw,
                     raw_float)
-
-
-def checked_table(times, values) -> tuple[np.ndarray, np.ndarray]:
-    """The (t, f) samples of a tabulated envelope as float arrays, checked
-    as :func:`tabulated_envelope` needs them, short of their norm."""
-    t = np.asarray(times, dtype=float)
-    f = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != f.shape or t.size < 2:
-        raise ValueError("need matching 1-d arrays with at least 2 samples")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):
-        raise ValueError("samples must be finite numbers")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    return t, f
 
 
 def load_tabulated_csv(path) -> tuple[list[float], list[float]]:
@@ -193,10 +188,11 @@ def envelope_for(drive: DriveSpec) -> Envelope:
 
 
 def squared_norm(env: Envelope) -> float:
-    """Quadrature of |f|^2 over the effective support (should be 1)."""
+    """Quadrature of |f|^2 over the effective support (should be 1). For a
+    table it is an approximation, independent of the exact knot sum that
+    normalizes it: a trapezoid on 20,001 uniform points that misses the knots."""
     if env.kind is DriveKind.TABULATED:
-        # piecewise-linear integrand: dense trapezoid instead of adaptive
-        # quadrature, which stalls on the derivative kinks
+        # dense trapezoid: adaptive quadrature stalls on the derivative kinks
         grid = np.linspace(env.t_start, env.t_end, 20001)
         return float(np.trapezoid(env(grid) ** 2, grid))
     val, _ = quad(lambda t: env(np.asarray(t)) ** 2, env.t_start, env.t_end, limit=200)

@@ -97,6 +97,22 @@ def seeded_detectors(n=8):
         for _ in range(n)]
 
 
+class TestRootNearZero:
+    """A root near the pole at 0 comes out of numpy.roots to full relative
+    accuracy; only one that comes out exactly 0 fails, with an infinite residue."""
+
+    @pytest.mark.parametrize("a2,g1", [(1e-13, 1e-12), (1e-20, 1.0), (1e-12, 1e-4)])
+    def test_matches_integrate(self, a2, g1):
+        p = make_params(gamma_1=g1)
+        ps = analytic.continuous_pm_poles(p, a2)
+        traj = meanfield.integrate(p, DriveSpec.continuous(a2, OMEGA), t_end=30.0, n_samples=31)
+        assert np.max(np.abs(ps.reconstruct(traj.times) - traj.pm)) < 1e-12
+
+    def test_root_at_exactly_zero_raises(self):
+        with pytest.raises(analytic.DegeneratePoles, match="residues up to inf"):
+            analytic.continuous_pm_poles(make_params(gamma_1=1e-4), 1e-30)
+
+
 class TestDoubleRoot:
     def test_known_double_root_raises(self):
         # numpy.roots splits it by ~1e-8 and the residues reach +-4.3e6 i
@@ -160,3 +176,9 @@ class TestExpPulseSeries:
     def test_lossless_guard(self):
         with pytest.raises(ValueError):
             analytic.exp_pulse_steady_state(make_params(gamma_rel=0.1), 0.1, 5.0)
+
+    @pytest.mark.parametrize("formula", [analytic.exp_pulse_steady_state,
+                                         analytic.exp_pulse_fifth_order])
+    def test_needs_a_measurement_rate(self, formula):
+        with pytest.raises(ValueError, match="need gamma_1 > 0"):
+            formula(make_params(gamma_1=0.0), 0.1, 5.0)

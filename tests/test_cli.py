@@ -178,6 +178,21 @@ class TestAnalytic:
         assert data["poles"][0] == [0.0, 0.0]
         assert data["residues"][0] == [1.0, 0.0]
 
+    def test_poles_of_a_root_near_the_pole_at_zero(self, capsys):
+        # the root near 0 is accurate to full relative precision: no error
+        argv = ["analytic", "--mode", "poles", "--alpha-sq", "1e-13", "--gamma-1", "1e-12"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        poles = np.array([complex(*z) for z in data["poles"]])
+        residues = np.array([complex(*z) for z in data["residues"]])
+        assert len(poles) == 4
+        params = DetectorParams(gamma_tl=1.0, gamma_0=0.0, gamma_1=1e-12, gamma_rel=0.0,
+                                gamma_res=0.0, omega_0=omega_from_ghz(5.0))
+        traj = meanfield.integrate(params, DriveSpec.continuous(1e-13, params.omega_0), 30.0, 31)
+        pm = (residues * np.exp(np.outer(traj.times, poles))).sum(axis=1).real
+        assert np.max(np.abs(pm - traj.pm)) < 1e-12
+
     def test_exp_steady_value(self, capsys):
         code, out, _ = run(
             capsys, "analytic", "--mode", "exp-steady",
@@ -407,22 +422,6 @@ class TestPulseFile:
         assert seen[0].drive == drive
         assert np.array_equal(seen[0].pm, want.pm)
 
-    def test_simulate_builds_the_envelope_twice(self, capsys, monkeypatch, table):
-        # in load_tabulated_csv's check and in the integration; the default
-        # t_end reads the table's end without building it
-        built = []
-        tabulated_envelope = pulses.tabulated_envelope
-
-        def spy(*args):
-            built.append(tabulated_envelope(*args))
-            return built[-1]
-
-        monkeypatch.setattr(pulses, "tabulated_envelope", spy)
-        argv = ["simulate", "--drive", "tab", "--pulse-file", "spike.csv", "--alpha-sq", "0.4",
-                "--samples", "5"]
-        assert run(capsys, *argv)[0] == 0
-        assert len(built) == 2
-
     def test_one_cell_sweep_integrates_the_file_as_written(self, capsys, tmp_path, table):
         params, drive = table
         spec = {"axis1": {"name": "gamma_tl", "min": 0.7, "max": 0.7, "points": 1},
@@ -450,8 +449,8 @@ class TestPulseFile:
 
 AXIS = {"name": "gamma_tl", "min": 0.5, "max": 2.0, "points": 2}
 #: Problems that are numerical failures and exit 3; every other case exits 2.
-NUMERICAL = {"keeps growing", "collides", "p0 = nan", "out of range", "division by zero",
-             "overflow", "divide by zero", "ratio_to_gamma_1"}
+NUMERICAL = {"keeps growing", "p0 = nan", "division by zero", "overflow", "divide by zero",
+             "ratio_to_gamma_1"}
 #: --config files that test_malformed_input_exits_2 writes: a JSON true or a
 #: float is not an integer or a rate
 CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"order": True},
@@ -493,10 +492,10 @@ CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"ord
      "n_in"),
     (["sweep", "--format", "json"],
      {"axis1": {**AXIS, "max": math.inf}, "t_m": 5.0}, "max"),
-    (["analytic", "--mode", "poles", "--alpha-sq", "1e-13", "--gamma-1", "1e-12"],
-     None, "collides"),
+    (["sweep", "--format", "json"],
+     {"axis1": AXIS, "params": [1.0], "t_m": 5.0}, "params must be a JSON object"),
     (["simulate", "--drive", "gauss", "--sigma", "1e300", "--alpha-sq", "0.1"],
-     None, "out of range"),
+     None, "sigma"),
     (["analytic", "--mode", "exp-steady", "--alpha-sq", "0.1", "--kappa", "1e-300"],
      None, "division by zero"),
     (["analytic", "--mode", "exp-steady", "--alpha-sq", "0.1", "--kappa", "1e300"],
@@ -584,6 +583,18 @@ def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, prob
     assert code == (3 if problem in NUMERICAL else 2)
     assert problem in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--gamma-1", "2"],
+    ["analytic", "--mode", "poles", "--alpha-sq", "0.1"],
+], ids=["text", "json"])
+def test_output_file_holds_what_stdout_would(capsys, tmp_path, argv):
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--output", str(out)) == (0, "", "")
+    assert out.read_text() == want
 
 
 @pytest.mark.parametrize("gamma_tl,code,message", [

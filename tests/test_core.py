@@ -3,6 +3,7 @@ import pytest
 
 from jpmsim.core import (
     DetectorParams,
+    DriveKind,
     DriveSpec,
     omega_from_ghz,
     photon_flux,
@@ -67,6 +68,16 @@ class TestValidation:
             DriveSpec.gaussian(1.0, OMEGA, sigma=-1.0)
         with pytest.raises(ValueError):
             DriveSpec.continuous(-1.0, OMEGA)
+
+    @pytest.mark.parametrize("kind,fields,message", [
+        (DriveKind.EXPONENTIAL, {}, "exponential drive requires kappa > 0"),
+        (DriveKind.GAUSSIAN, {}, "gaussian drive requires sigma > 0"),
+        (DriveKind.TABULATED, {}, "requires sample arrays"),
+        (DriveKind.TABULATED, {"table_t": (0.0, 1.0)}, "requires sample arrays"),
+    ], ids=["exp-no-kappa", "gauss-no-sigma", "tab-no-arrays", "tab-no-values"])
+    def test_drive_without_its_shape_rejected(self, kind, fields, message):
+        with pytest.raises(ValueError, match=message):
+            DriveSpec(kind, 1.0, OMEGA, **fields)
 
 
 #: Builds the object owning each numeric field of DetectorParams and DriveSpec

@@ -307,10 +307,21 @@ class TestPulseLSODA:
         ([-2.0, -1.0], [0.0, 0.0], 0.0, "zero norm"),  # the default t_end is -1
     ])
     def test_bad_table_error_with_default_t_end(self, times, values, gamma_1, message):
-        # the default t_end reads the table's end without building its envelope
+        # the default t_end builds the envelope, whose check is the error reported
         drive = DriveSpec.tabulated(0.3, OMEGA, times, values)
         with pytest.raises(ValueError, match=message):
             meanfield.integrate(make_params(gamma_1=gamma_1), drive)
+
+    @pytest.mark.parametrize("drive,end", [
+        (DriveSpec.tabulated(0.3, OMEGA, [0.5, 2.0, 7.0], [0.0, 1.0, 0.0]), 7.0),
+        (DriveSpec.exponential(0.3, OMEGA, 2.0), 20.0),
+        (DriveSpec.gaussian(0.3, OMEGA, 0.5), 12.0 / (0.5 * np.sqrt(2.0))),
+    ], ids=["table", "exp", "gauss"])
+    def test_default_t_end_is_the_envelope_end_plus_the_tail(self, drive, end):
+        # a table ends at its last knot, an analytic shape at its support's end
+        traj = meanfield.integrate(make_params(gamma_1=0.8), drive, n_samples=3)
+        assert traj.times[-1] == end + meanfield.PULSE_TAIL_FACTOR / 0.8
+        assert traj.times[-1] == pulses.envelope_for(drive).t_end + 12.5
 
     def test_stacked_cells_need_one_envelope(self):
         p = make_params()
@@ -432,6 +443,15 @@ class TestConfigAndInvariants:
         y[1] = 1.0
         y[("v", "p0", "p1", "pm").index(field), 1] = np.nan
         with pytest.raises(meanfield.InvariantViolation, match=field):
+            meanfield._check_invariants(np.arange(3.0), y)
+
+    def test_lost_probability_is_a_violation(self):
+        # every occupation inside [0, 1], but their sum 0.875 at the second sample
+        y = np.zeros((4, 3))
+        y[1] = 1.0
+        y[1:, 1] = [0.5, 0.25, 0.125]
+        with pytest.raises(meanfield.InvariantViolation,
+                           match="probability sum 0.875 deviates from 1 at t = 1.0"):
             meanfield._check_invariants(np.arange(3.0), y)
 
 

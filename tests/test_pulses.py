@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from jpmsim import pulses
+from jpmsim.core import DriveSpec, omega_from_ghz
 
 
 class TestExponential:
@@ -42,6 +44,12 @@ class TestGaussian:
     @pytest.mark.parametrize("sigma", [5e-324, np.float64(5e-324)])
     def test_support_that_overflows_names_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma = 5e-324 too small"):
+            pulses.gaussian_envelope(sigma)
+
+    @pytest.mark.parametrize("sigma", [1e300, np.float64(1e300)])
+    def test_square_that_overflows_names_sigma(self, sigma):
+        # sigma ** 2 raises OverflowError for a Python float: an error naming sigma
+        with pytest.raises(ValueError, match=r"sigma = 1e\+300 too large"):
             pulses.gaussian_envelope(sigma)
 
     def test_symmetry_about_center(self):
@@ -127,13 +135,37 @@ class TestTabulated:
         assert env(0.5) == 0.0
         assert env(3.5) == 0.0
 
+    def test_ramp_norm_is_exact(self):
+        # f^2 integrates to 2/3 + 5/3 over the two intervals of the ramp
+        c = pulses.tabulated_envelope([0.0, 2.0, 7.0], [0.0, 1.0, 0.0]).c
+        assert abs(c - math.sqrt(3.0 / 7.0)) <= math.ulp(c)
+
+    def test_spike_table_has_unit_norm_over_its_knots(self):
+        # a sine-squared hump with one sample raised 40-fold, narrower than
+        # any uniform grid coarser than its knots
+        t = np.linspace(0.0, 20.0, 4001)
+        f = np.sin(np.pi * t / 20.0) ** 2
+        f[1000] *= 40.0
+        g = pulses.tabulated_envelope(t, f).c * f
+        mass = sum((b - a) * (x * x + x * y + y * y) / 3.0
+                   for a, b, x, y in zip(t[:-1], t[1:], g[:-1], g[1:]))
+        assert abs(mass - 1.0) <= 1e-14
+
     def test_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             pulses.tabulated_envelope([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero norm"):
             pulses.tabulated_envelope([0.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            pulses.tabulated_envelope([[0.0, 1.0]], [[0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             pulses.tabulated_envelope([0.0, 1.0, 2.0], [0.0, np.nan, 0.0])
+
+
+def test_no_envelope_for_a_continuous_drive():
+    drive = DriveSpec.continuous(0.1, omega_from_ghz(5.0))
+    with pytest.raises(ValueError, match="no envelope for drive kind"):
+        pulses.envelope_for(drive)
 
 
 FLOAT_PATH_ENVELOPES = {

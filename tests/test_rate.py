@@ -142,6 +142,15 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             rate.steady_state(make_params(), 0.1)
 
+    @pytest.mark.parametrize("call,bad,message", [
+        (lambda p: rate.closed_form_drive_rate(p, 0.1),
+         dict(gamma_tl=0.0, gamma_1=0.0), "gamma_tilde = 0"),
+        (rate.dark_count_rate, dict(gamma_0=0.04), "gamma_res > 0"),
+    ], ids=["drive-rate-gamma_tilde-0", "dark-rate-no-reset"])
+    def test_closed_form_needs_the_rate_it_divides_by(self, call, bad, message):
+        with pytest.raises(ValueError, match=message):
+            call(make_params(**bad))
+
 
 class TestEfficiency:
     def test_symmetric_point(self):

@@ -43,6 +43,8 @@ class TestAxis:
             sweep.SweepAxis("gamma_tl", 0.0, 1.0, 5, scale="log")
         with pytest.raises(ValueError):
             sweep.SweepAxis("gamma_tl", 0.1, 1.0, 0)
+        with pytest.raises(ValueError, match="scale must be linear or log, got 'lin'"):
+            sweep.SweepAxis("gamma_tl", 0.1, 1.0, 5, scale="lin")
 
 
 class TestSpecValidation:
@@ -62,6 +64,16 @@ class TestSpecValidation:
                 params=make_params(),
                 drive=DriveSpec.continuous(0.1, OMEGA),
                 objective=objective, **{field: 0.0},
+            )
+
+    @pytest.mark.parametrize("objective", ["steady_pm", "eta_finite_n"])
+    def test_flux_objective_needs_n_in(self, objective):
+        with pytest.raises(ValueError, match=f"{objective} needs n_in"):
+            sweep.SweepSpec(
+                axis1=sweep.SweepAxis("gamma_tl", 0.1, 10, 3),
+                params=make_params(gamma_res=1.0),
+                drive=DriveSpec.continuous(0.0, OMEGA),
+                objective=objective,
             )
 
     def test_same_name_on_both_axes(self, capsys, tmp_path):
