@@ -192,7 +192,8 @@ def squared_norm(env: Envelope) -> float:
     table it is an approximation, independent of the exact knot sum that
     normalizes it: a trapezoid on 20,001 uniform points that misses the knots."""
     if env.kind is DriveKind.TABULATED:
-        # dense trapezoid: adaptive quadrature stalls on the derivative kinks
+        # piecewise-linear integrand: dense trapezoid instead of adaptive
+        # quadrature, which stalls on the derivative kinks
         grid = np.linspace(env.t_start, env.t_end, 20001)
         return float(np.trapezoid(env(grid) ** 2, grid))
     val, _ = quad(lambda t: env(np.asarray(t)) ** 2, env.t_start, env.t_end, limit=200)

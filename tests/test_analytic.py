@@ -101,7 +101,7 @@ class TestRootNearZero:
     """A root near the pole at 0 comes out of numpy.roots to full relative
     accuracy; only one that comes out exactly 0 fails, with an infinite residue."""
 
-    @pytest.mark.parametrize("a2,g1", [(1e-13, 1e-12), (1e-20, 1.0), (1e-12, 1e-4)])
+    @pytest.mark.parametrize("a2,g1", [(1e-20, 1.0), (1e-12, 1e-4)])
     def test_matches_integrate(self, a2, g1):
         p = make_params(gamma_1=g1)
         ps = analytic.continuous_pm_poles(p, a2)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import jpmsim
-from jpmsim import analytic, cli, meanfield, pulses
+from jpmsim import analytic, cli, meanfield
 from jpmsim.cli import main
 from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
 
@@ -386,7 +386,7 @@ class TestConfigAfterParse:
 
 def spike_table() -> str:
     """A (t, f) CSV of 4,001 rows: a sine-squared hump over 20 ns with one
-    sample raised 40-fold, a spike narrower than any resampling grid's step."""
+    sample raised 40-fold, a spike one sample wide."""
     t = np.linspace(0.0, 20.0, 4001)
     f = np.sin(np.pi * t / 20.0) ** 2
     f[1000] *= 40.0

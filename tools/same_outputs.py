@@ -309,7 +309,7 @@ def overflow_cases() -> list[dict]:
 
 def spike_table() -> str:
     """A (t, f) CSV of 4,001 rows: a sine-squared hump over 20 ns with one
-    sample raised 40-fold, narrower than any resampling grid's step."""
+    sample raised 40-fold, a spike one sample wide."""
     t = np.linspace(0.0, 20.0, 4001)
     f = np.sin(np.pi * t / 20.0) ** 2
     f[1000] *= 40.0
