@@ -14,10 +14,12 @@ f(t) otherwise. A continuous drive makes the system linear and
 time-invariant, and it is propagated exactly with the matrix exponential
 (:func:`propagate`). Pulse drives are integrated by :func:`integrate_pulses`:
 LSODA, which switches to a stiff method when the rates call for it, with the
-exact Jacobian A0 + omega_R f(t) B. :func:`pm_at` gives pm of N cells in one
-call, as one expm of a stack of generators or one LSODA call of a 4N-state
-system, where a sweep would make N. This module assumes a single measurement
-event and no dark counts: gamma_res and gamma_0 must be zero.
+exact Jacobian A0 + omega_R f(t) B, until the envelope ends. After that the
+drive is dropped and dy/dt = A0 y is solved in closed form: v and p1 decay,
+and what leaves p1 goes to p0 and pm. :func:`pm_at` gives pm of N cells in
+one call, as one expm of a stack of generators or one LSODA call of a
+4N-state system, where a sweep would make N. This module assumes a single
+measurement event and no dark counts: gamma_res and gamma_0 must be zero.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from scipy.linalg import expm
 from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int
 from .pulses import envelope_for
 
-#: Post-pulse integration tail, in units of 1/gamma_1, to capture tunneling
-#: that continues after the envelope has passed.
+#: Default sampling past the pulse's end, in units of 1/gamma_1, to capture
+#: tunneling that continues after the envelope has passed. These samples come
+#: from the closed-form decay of :func:`integrate_pulses`, not from LSODA.
 PULSE_TAIL_FACTOR = 10.0
 
 #: Relative and absolute tolerances of the LSODA step (pulse drives). LSODA
@@ -219,7 +222,8 @@ def integrate_pulses(
     cells: Sequence[tuple[DetectorParams, DriveSpec]], t_eval: np.ndarray
 ) -> np.ndarray:
     """Integrate N pulse-driven cells from the ground state as one 4N-state
-    system, y = (y_1, ..., y_N), with LSODA and the exact Jacobian.
+    system, y = (y_1, ..., y_N), with LSODA and the exact Jacobian until the
+    envelope ends, and in closed form after it.
 
     ``cells`` holds (params, drive) pairs whose drives share one envelope;
     they may differ in alpha_sq and in every detector rate, and each must
@@ -232,6 +236,15 @@ def integrate_pulses(
     _A0_PICK) times that row's one nonzero, and the drive part is
     f(t) omega_R,k (Y @ B.T). A failed step raises IntegrationError; the
     invariants are left to the caller.
+
+    LSODA makes one call, up to t_cut = min(env.t_end, t_eval[-1]). The
+    samples after t_cut drop the drive, which is at most e^-18 of its peak
+    for a Gaussian, e^-20 for an exponential and exactly 0 for a table, and
+    take the exact solution of dy/dt = A0 y from the state at t_cut: with
+    dt = t - t_cut and g = gamma_tilde, v decays as e^(-g dt/2) and p1 as
+    e^(-g dt), and the lost = -p1 expm1(-g dt) that leaves p1 goes to p0 and
+    pm in the ratio gamma_tl + gamma_rel : gamma_1 (gamma_0 = 0). A cell with
+    g = 0 keeps its state, and a NaN cell stays NaN.
     """
     key = envelope_key(cells[0][1])
     if any(envelope_key(drive) != key for _, drive in cells):
@@ -264,30 +277,38 @@ def integrate_pulses(
     def jac(t, y):
         return band_a0 + env(t) * band_wb
 
-    def solve(samples, y0, max_step):
-        # samples[0] is the start time; an LSODA failure warns and is checked,
-        # and overflow shows up as a failure or a non-finite sample
-        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-            warnings.simplefilter("ignore", ODEintWarning)
-            y, info = odeint(rhs, y0, samples, Dfun=jac, ml=3, mu=3, rtol=REL_TOL,
-                             atol=ABS_TOL, hmax=max_step, mxstep=MAX_STEPS,
-                             full_output=True, tfirst=True)
-        if info["message"] != "Integration successful.":
-            raise IntegrationError(f"LSODA failed: {info['message']}", float(info["tcur"].max()))
-        return y.T
-
-    # Where the envelope is still ~0 at both ends of a step, LSODA sees no
-    # error and can step over a pulse that starts late (a late t0, a table
-    # that starts late). Until the envelope ends the step is held to 1/16 of
-    # its support; from there it is free (hmax 0).
+    # LSODA runs only until the envelope ends, on the samples up to t_cut and
+    # t_cut itself. Where the envelope is still ~0 at both ends of a step, LSODA
+    # sees no error and can step over a pulse that starts late (a late t0, a
+    # table that starts late), so the step is held to 1/16 of the support. An
+    # LSODA failure warns and is checked, and overflow shows up as a failure
+    # or a non-finite sample.
     t_cut = min(env.t_end, t_eval[-1])
     k = int(np.searchsorted(t_eval, t_cut, side="right"))  # samples up to t_cut
-    head = solve(np.union1d(t_eval[:k], [t_cut]), np.tile(GROUND, n),
-                 (env.t_end - env.t_start) / 16.0)
-    y = head[:, :k]
-    if k < len(t_eval):
-        y = np.hstack([y, solve(np.append(t_cut, t_eval[k:]), head[:, -1], 0.0)[:, 1:]])
-    return y.reshape(n, 4, -1)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", ODEintWarning)
+        head, info = odeint(rhs, np.tile(GROUND, n), np.union1d(t_eval[:k], [t_cut]), Dfun=jac,
+                            ml=3, mu=3, rtol=REL_TOL, atol=ABS_TOL,
+                            hmax=(env.t_end - env.t_start) / 16.0, mxstep=MAX_STEPS,
+                            full_output=True, tfirst=True)
+    if info["message"] != "Integration successful.":
+        raise IntegrationError(f"LSODA failed: {info['message']}", float(info["tcur"].max()))
+    y = head[:k].T.reshape(n, 4, -1)
+    if k == len(t_eval):
+        return y
+
+    # the closed-form tail; a cell with g = 0 passes nothing on, so its share
+    # of pm is 0 rather than 0/0, and a NaN cell's NaN rates keep it NaN
+    v, p0, p1, pm = head[-1].reshape(n, 4).T[:, :, None]
+    dt = t_eval[k:] - t_cut
+    to_p0_pm = rates[:, 1] + rates[:, 3]
+    to_pm = np.divide(rates[:, 3], to_p0_pm, out=np.zeros(n), where=to_p0_pm > 0)[:, None]
+    with np.errstate(over="ignore"):  # a rate * dt of -inf decays to exactly 0
+        v_rate_dt, p1_rate_dt = rates[:, 0:1] * dt, rates[:, 2:3] * dt
+        lost = -p1 * np.expm1(p1_rate_dt)
+        tail = [v * np.exp(v_rate_dt), p0 + (lost - lost * to_pm), p1 * np.exp(p1_rate_dt),
+                pm + lost * to_pm]
+    return np.concatenate([y, np.stack(tail, axis=1)], axis=2)
 
 
 def _stacked_generators(cells: Sequence[tuple[DetectorParams, DriveSpec]]):

@@ -126,6 +126,9 @@ def tabulated_envelope(times, values) -> Envelope:
     """Linear interpolation through (t, f) samples, exactly zero outside them,
     scaled to unit norm by the exact knot sum: on an interval of width h from
     f_i to f_j the interpolant's square integrates to h (f_i^2 + f_i f_j + f_j^2) / 3.
+    The sum runs over f / max|f|, so no square overflows and the largest is 1,
+    and c takes the factor 1 / max|f|: a table and any finite multiple of it
+    give the same envelope.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(values, dtype=float)
@@ -136,7 +139,9 @@ def tabulated_envelope(times, values) -> Envelope:
     h = np.diff(t)
     if np.any(h <= 0):
         raise ValueError("sample times must be strictly increasing")
-    mass = float(h @ (f[:-1] ** 2 + f[:-1] * f[1:] + f[1:] ** 2)) / 3.0
+    scale = float(np.abs(f).max())
+    g = f / scale if scale > 0 else f
+    mass = float(h @ (g[:-1] ** 2 + g[:-1] * g[1:] + g[1:] ** 2)) / 3.0
     if mass <= 0:
         raise ValueError("tabulated envelope has zero norm")
 
@@ -146,8 +151,8 @@ def tabulated_envelope(times, values) -> Envelope:
     def raw_float(x):
         return float(np.interp(x, t, f, left=0.0, right=0.0))
 
-    return Envelope(DriveKind.TABULATED, 1.0 / math.sqrt(mass), float(t[0]), float(t[-1]), raw,
-                    raw_float)
+    return Envelope(DriveKind.TABULATED, 1.0 / math.sqrt(mass) / scale, float(t[0]),
+                    float(t[-1]), raw, raw_float)
 
 
 def load_tabulated_csv(path) -> tuple[list[float], list[float]]:
