@@ -237,14 +237,12 @@ def integrate_pulses(
     f(t) omega_R,k (Y @ B.T). A failed step raises IntegrationError; the
     invariants are left to the caller.
 
-    LSODA makes one call, up to t_cut = min(env.t_end, t_eval[-1]). The
-    samples after t_cut drop the drive, which is at most e^-18 of its peak
-    for a Gaussian, e^-20 for an exponential and exactly 0 for a table, and
-    take the exact solution of dy/dt = A0 y from the state at t_cut: with
+    LSODA runs once, to t_cut = min(env.t_end, t_eval[-1]). Later samples drop
+    the drive (at most e^-18 of its peak for a Gaussian, e^-20 for an
+    exponential, 0 for a table) and solve dy/dt = A0 y exactly from t_cut: with
     dt = t - t_cut and g = gamma_tilde, v decays as e^(-g dt/2) and p1 as
-    e^(-g dt), and the lost = -p1 expm1(-g dt) that leaves p1 goes to p0 and
-    pm in the ratio gamma_tl + gamma_rel : gamma_1 (gamma_0 = 0). A cell with
-    g = 0 keeps its state, and a NaN cell stays NaN.
+    e^(-g dt), and what leaves p1 goes to p0 and pm in the ratio
+    gamma_tl + gamma_rel : gamma_1 (gamma_0 = 0).
     """
     key = envelope_key(cells[0][1])
     if any(envelope_key(drive) != key for _, drive in cells):
@@ -277,12 +275,11 @@ def integrate_pulses(
     def jac(t, y):
         return band_a0 + env(t) * band_wb
 
-    # LSODA runs only until the envelope ends, on the samples up to t_cut and
-    # t_cut itself. Where the envelope is still ~0 at both ends of a step, LSODA
-    # sees no error and can step over a pulse that starts late (a late t0, a
-    # table that starts late), so the step is held to 1/16 of the support. An
-    # LSODA failure warns and is checked, and overflow shows up as a failure
-    # or a non-finite sample.
+    # Where the envelope is still ~0 at both ends of a step, LSODA sees no
+    # error and can step over a pulse that starts late (a late t0, a table
+    # that starts late), so the step is held to 1/16 of the support. An LSODA
+    # failure warns and is checked; overflow shows up as a failure or a
+    # non-finite sample.
     t_cut = min(env.t_end, t_eval[-1])
     k = int(np.searchsorted(t_eval, t_cut, side="right"))  # samples up to t_cut
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):

@@ -126,9 +126,8 @@ def tabulated_envelope(times, values) -> Envelope:
     """Linear interpolation through (t, f) samples, exactly zero outside them,
     scaled to unit norm by the exact knot sum: on an interval of width h from
     f_i to f_j the interpolant's square integrates to h (f_i^2 + f_i f_j + f_j^2) / 3.
-    The sum runs over f / max|f|, so no square overflows and the largest is 1,
-    and c takes the factor 1 / max|f|: a table and any finite multiple of it
-    give the same envelope.
+    The sum runs over f / max|f|, whose squares cannot overflow, and c takes
+    the 1 / max|f|: a table and any finite multiple of it give one envelope.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(values, dtype=float)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -212,6 +213,55 @@ class TestPulseLSODA:
         assert traj.pm[-1] > 0.05
         assert np.max(np.abs(components(traj) - ref)) < 1e-8
 
+    @pytest.mark.parametrize("gamma_rel", [0.0, 0.4], ids=["lossless", "relaxation"])
+    @pytest.mark.parametrize("drive", [
+        DriveSpec.exponential(2.0, OMEGA, 20.0),
+        DriveSpec.gaussian(1.5, OMEGA, 1.2),
+        DriveSpec.tabulated(1.0, OMEGA, *TABLE),
+    ], ids=["exp", "gauss", "table"])
+    def test_tail_matches_dop853(self, drive, gamma_rel, dop853_pulse):
+        # after the envelope's end the drive is dropped and each component
+        # decays in closed form; DOP853 integrates the full equations there
+        p = make_params(gamma_tl=0.3, gamma_1=0.2, gamma_rel=gamma_rel)
+        t_end = pulses.envelope_for(drive).t_end
+        times = np.concatenate(([0.0, t_end], t_end + np.geomspace(1e-3, 30.0, 8)))
+        y = meanfield.integrate_pulses([(p, drive)], times)[0]
+        ref = dop853_pulse(p, drive, times)
+        assert y[3, -1] - y[3, 1] > 5e-4  # pm still grows after the pulse
+        assert np.max(np.abs(y - ref)) < 1e-8
+
+    def test_stiff_tail_is_no_second_lsoda_call(self, monkeypatch):
+        # gamma_tl 1e6 GHz: LSODA stops at the envelope's end, and past it p1
+        # empties at once, in closed form
+        calls = []
+        odeint = meanfield.odeint
+
+        def spy(func, y0, t, **kw):
+            calls.append(t)
+            return odeint(func, y0, t, **kw)
+
+        monkeypatch.setattr(meanfield, "odeint", spy)
+        drive = DriveSpec.gaussian(0.5, OMEGA, 1.0)
+        traj = meanfield.integrate(make_params(gamma_tl=1e6), drive)
+        assert len(calls) == 1
+        assert calls[0][-1] == pulses.envelope_for(drive).t_end < traj.times[-1]
+        assert traj.p1[-1] == 0.0 and traj.v[-1] == 0.0
+
+    def test_tail_without_decay_is_finite(self):
+        # gamma_1 = 0 sends nothing to pm; gamma_tilde = 0 (no coupling, so no
+        # drive) keeps the ground state, with no 0/0 in pm's share
+        drive = DriveSpec.gaussian(1.0, OMEGA, 1.0)
+        cells = [(make_params(gamma_1=0.0), drive),
+                 (make_params(gamma_tl=0.0, gamma_1=0.0), drive)]
+        t_eval = np.linspace(0.0, 3.0 * pulses.envelope_for(drive).t_end, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = meanfield.integrate_pulses(cells, t_eval)
+        assert np.isfinite(y).all()
+        assert not y[0, 3].any() and np.abs(y[0, 1] + y[0, 2] - 1.0).max() < 1e-12
+        assert y[0, 2, -1] > 0.0  # p1 was driven and is still decaying
+        np.testing.assert_array_equal(y[1], np.tile(np.array(meanfield.GROUND)[:, None], 7))
+
     def test_banded_jacobian_is_exact(self, monkeypatch):
         # the right-hand side is linear in y, so its Jacobian has columns
         # rhs(t, e_j); the band holds entry (i, j) at row i - j + 3 (mu = 3)
@@ -356,13 +406,18 @@ class TestPmAt:
         assert all(pm[k] == pm_alone(p, d, t) for k, ((p, d), t) in enumerate(zip(cells, t_m)))
 
     def test_pulse_cells_match_integrate(self):
-        drive = DriveSpec.gaussian(1.0, OMEGA, 1.0)
-        cells = [(make_params(gamma_tl=g), replace(drive, alpha_sq=a))
-                 for g, a in ((0.5, 0.2), (1.0, 1.0), (2.0, 3.0))]
-        t_m = [15.0, 5.0, 15.0]  # one sample at 5 and one at 15 serve all three
-        pm = meanfield.pm_at(cells, t_m)
-        for k, ((p, d), t) in enumerate(zip(cells, t_m)):
-            assert abs(pm[k] - pm_alone(p, d, t)) < 1e-8
+        # t_m before, at and after the envelope's end in one call: LSODA serves
+        # the first two, the closed-form tail the third; one sample serves two cells
+        for drive in (DriveSpec.gaussian(1.0, OMEGA, 1.0), DriveSpec.exponential(1.0, OMEGA, 4.0),
+                      DriveSpec.tabulated(1.0, OMEGA, *TABLE)):
+            t_end = pulses.envelope_for(drive).t_end
+            cells = [(make_params(gamma_tl=g, gamma_rel=r), replace(drive, alpha_sq=a))
+                     for g, r, a in ((0.5, 0.0, 0.2), (1.0, 0.3, 1.0), (2.0, 0.0, 3.0),
+                                     (1.0, 0.0, 1.0))]
+            t_m = [t_end + 6.5, 0.6 * t_end, t_end + 6.5, t_end]
+            pm = meanfield.pm_at(cells, t_m)
+            for k, ((p, d), t) in enumerate(zip(cells, t_m)):
+                assert abs(pm[k] - pm_alone(p, d, t)) < 1e-8
 
     def test_non_finite_cell_fails_the_call(self):
         cells = [(make_params(), DriveSpec.continuous(0.1, OMEGA)),

@@ -151,6 +151,18 @@ class TestTabulated:
                    for a, b, x, y in zip(t[:-1], t[1:], g[:-1], g[1:]))
         assert abs(mass - 1.0) <= 1e-14
 
+    def test_norm_does_not_depend_on_the_scale(self):
+        # the squares of 1e200 overflow and those of 1e-200 underflow; the knot
+        # sum runs over f / max|f|, so every finite multiple is the same drive
+        t, f = np.array([0.0, 1.0, 2.5, 3.0]), np.array([0.0, 1.0, 0.4, 0.0])
+        x = np.linspace(-0.5, 3.5, 41)
+        want = pulses.tabulated_envelope(t, f)(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e200, 1e-200):
+                np.testing.assert_allclose(pulses.tabulated_envelope(t, scale * f)(x), want,
+                                           rtol=1e-15, atol=0.0)
+
     def test_bad_input(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             pulses.tabulated_envelope([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
