@@ -290,12 +290,10 @@ def integrate_pulses(
                             full_output=True, tfirst=True)
     if info["message"] != "Integration successful.":
         raise IntegrationError(f"LSODA failed: {info['message']}", float(info["tcur"].max()))
-    y = head[:k].T.reshape(n, 4, -1)
-    if k == len(t_eval):
-        return y
 
-    # the closed-form tail; a cell with g = 0 passes nothing on, so its share
-    # of pm is 0 rather than 0/0, and a NaN cell's NaN rates keep it NaN
+    # the closed-form tail, empty where t_eval ends by t_cut; a cell with g = 0
+    # passes nothing on, so its share of pm is 0 rather than 0/0, and a NaN
+    # cell's NaN rates keep it NaN
     v, p0, p1, pm = head[-1].reshape(n, 4).T[:, :, None]
     dt = t_eval[k:] - t_cut
     to_p0_pm = rates[:, 1] + rates[:, 3]
@@ -305,7 +303,7 @@ def integrate_pulses(
         lost = -p1 * np.expm1(p1_rate_dt)
         tail = [v * np.exp(v_rate_dt), p0 + (lost - lost * to_pm), p1 * np.exp(p1_rate_dt),
                 pm + lost * to_pm]
-    return np.concatenate([y, np.stack(tail, axis=1)], axis=2)
+    return np.concatenate([head[:k].T.reshape(n, 4, -1), np.stack(tail, axis=1)], axis=2)
 
 
 def _stacked_generators(cells: Sequence[tuple[DetectorParams, DriveSpec]]):

@@ -303,5 +303,4 @@ def saturation_curve(
     alpha_grid,
 ) -> np.ndarray:
     """pm(t_m) versus drive amplitude at the baseline gamma_tl."""
-    return np.array([0.0 if a2 == 0.0 else _pm_at(params, replace(drive, alpha_sq=float(a2)), t_m)
-                     for a2 in alpha_grid])
+    return np.array([_pm_at(params, replace(drive, alpha_sq=float(a2)), t_m) for a2 in alpha_grid])

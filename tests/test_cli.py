@@ -569,10 +569,17 @@ CONFIG_FILES = {"true_gamma_1.json": {"gamma_1": True}, "true_order.json": {"ord
       "--alpha-sq", "0.1"], None, "20 / gamma_tilde overflows"),
     (["simulate", "--drive", "exp", "--kappa", "1", "--gamma-1", "5e-324", "--alpha-sq", "0.1"],
      None, "10 / gamma_1 overflows"),
+    # a table whose time span overflows: in a spacing, and in the knot sum
+    (["simulate", "--drive", "tab", "--pulse-file", "wide.csv", "--t-end", "5"],
+     None, "sample times -1e+308 to 1e+308"),
+    (["simulate", "--drive", "tab", "--pulse-file", "wide3.csv", "--t-end", "5"],
+     None, "sample times -1e+308 to 1e+308"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, spec, problem):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "one_column.csv").write_text("t,f\n0,0\n1\n2,0\n")
+    (tmp_path / "wide.csv").write_text("t,f\n-1e308,1\n1e308,1\n")
+    (tmp_path / "wide3.csv").write_text("t,f\n-1e308,1\n0,1\n1e308,1\n")
     for name, config in CONFIG_FILES.items():
         (tmp_path / name).write_text(json.dumps(config))
     if spec is not None:

@@ -173,6 +173,16 @@ class TestTabulated:
         with pytest.raises(ValueError, match="finite"):
             pulses.tabulated_envelope([0.0, 1.0, 2.0], [0.0, np.nan, 0.0])
 
+    @pytest.mark.parametrize("times", [[-1e308, 1e308], [-1e308, 0.0, 1e308]],
+                             ids=["spacing", "knot-sum"])
+    def test_span_that_overflows_names_the_sample_times(self, times):
+        # the first table's spacing overflows; the second's spacings are
+        # finite, but their knot sum overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"sample times -1e\+308 to 1e\+308"):
+                pulses.tabulated_envelope(times, [1.0] * len(times))
+
 
 def test_no_envelope_for_a_continuous_drive():
     drive = DriveSpec.continuous(0.1, omega_from_ghz(5.0))
@@ -189,7 +199,8 @@ FLOAT_PATH_ENVELOPES = {
 
 
 class TestFloatPath:
-    """A Python float, as odeint passes it, goes through math, not 0-d arrays."""
+    """Each shape is one formula of a Python float, which is what odeint passes;
+    an array is evaluated element by element."""
 
     @pytest.mark.parametrize("name", list(FLOAT_PATH_ENVELOPES))
     def test_agrees_with_the_array_path(self, name):
@@ -199,7 +210,7 @@ class TestFloatPath:
         array = env(t)
         scalar = [env(float(x)) for x in t]
         assert all(type(x) is float for x in scalar)
-        assert np.all(np.abs(np.array(scalar) - array) <= 2 * np.spacing(array))
+        assert np.array_equal(array, scalar)
         assert array.max() > 0.5
 
     @pytest.mark.parametrize("name,t", [
@@ -212,3 +223,4 @@ class TestFloatPath:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert env(t) == 0.0
+            assert np.array_equal(env(np.array([t])), [0.0])

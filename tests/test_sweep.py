@@ -725,8 +725,8 @@ class TestSaturation:
         assert pm[-1] < 1.0
 
     def test_zero_amplitude_entry(self):
-        p = make_params()
-        d = DriveSpec.continuous(0.0, OMEGA)
-        pm = sweep.saturation_curve(p, d, t_m=5.0, alpha_grid=[0.0, 0.1])
-        assert pm[0] == 0.0
-        assert pm[1] > 0.0
+        # no drive leaves pm at exactly 0.0, with no special case for it
+        for d in (DriveSpec.continuous(0.0, OMEGA), DriveSpec.gaussian(0.0, OMEGA, 1.0)):
+            pm = sweep.saturation_curve(make_params(), d, t_m=5.0, alpha_grid=[0.0, 0.1])
+            assert pm[0] == 0.0
+            assert pm[1] > 0.0
