@@ -39,7 +39,7 @@ class Envelope:
     Each shape is one formula ``_raw`` of a Python float, which is what
     ``odeint`` passes. An array is evaluated element by element, each element
     as a Python float, so ``env(array)`` equals ``[env(float(x)) for x in
-    array]`` bit for bit. That costs about 1.3 us per element; only tests,
+    array]`` bit for bit. That costs 0.2-1.3 us per element; only tests,
     demos and :func:`squared_norm` evaluate arrays.
     """
 
