@@ -17,9 +17,10 @@ LSODA, which switches to a stiff method when the rates call for it, with the
 exact Jacobian A0 + omega_R f(t) B, until the envelope ends. After that the
 drive is dropped and dy/dt = A0 y is solved in closed form: v and p1 decay,
 and what leaves p1 goes to p0 and pm. :func:`pm_at` gives pm of N cells in
-one call, as one expm of a stack of generators or one LSODA call of a
-4N-state system, where a sweep would make N. This module assumes a single
-measurement event and no dark counts: gamma_res and gamma_0 must be zero.
+one call, where a sweep would make N: one :func:`propagate` call over the
+stack of their generators, or one LSODA call of a 4N-state system. This
+module assumes a single measurement event and no dark counts: gamma_res and
+gamma_0 must be zero.
 """
 
 from __future__ import annotations
@@ -136,24 +137,25 @@ def generator(params: DetectorParams) -> tuple[np.ndarray, np.ndarray]:
     return _a0_stack([params])[0], _DRIVE.copy()
 
 
-def propagate(gen: np.ndarray, y0, t_eval: np.ndarray) -> np.ndarray:
-    """Exact solution of dy/dt = gen y from y(0) = y0, sampled on the uniform
-    grid ``t_eval`` (starting at 0), shape (len(y0), len(t_eval)).
-
-    One step matrix expm(gen dt) (scipy's scaling-and-squaring expm) is
-    applied sample by sample. A non-finite sample raises IntegrationError.
-    """
-    y = np.empty((len(y0), len(t_eval)))
-    y[:, 0] = y0
+def propagate(gens: np.ndarray, y0, t_eval: np.ndarray) -> np.ndarray:
+    """Exact solution of dy/dt = gen_k y from y(0) = y0 for each generator of
+    the stack ``gens`` (N, n, n), sampled on its own uniform grid t_eval[k]
+    from 0; ``t_eval`` is (N, T) and the result (N, n, T). One step matrix
+    expm(gen_k dt_k) is applied sample by sample; scipy's expm scales and
+    squares slice by slice, so a slice gets the floats it gets alone. A
+    non-finite sample raises IntegrationError at the first such time of the
+    first slice that has one."""
+    y = np.empty(t_eval.shape[::-1] + (len(y0), 1))  # (T, N, n, 1): contiguous steps
+    y[0, ..., 0] = y0
     # overflow shows up as a non-finite sample, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        step = expm(gen * (t_eval[1] - t_eval[0]))
-        for k in range(1, len(t_eval)):
-            y[:, k] = step @ y[:, k - 1]
-    bad = ~np.isfinite(y).all(axis=0)
-    if bad.any():
-        raise IntegrationError("propagator is not finite", t_eval[np.argmax(bad)])
-    return y
+        step = expm(gens * (t_eval[:, 1, None, None] - t_eval[:, 0, None, None]))
+        for k in range(1, len(y)):
+            y[k] = step @ y[k - 1]
+    if not np.isfinite(y).all():
+        bad = ~np.isfinite(y[..., 0].transpose(1, 0, 2)).all(axis=2)  # (N, T)
+        raise IntegrationError("propagator is not finite", t_eval.flat[np.argmax(bad)])
+    return y[..., 0].transpose(1, 2, 0)
 
 
 def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
@@ -209,7 +211,7 @@ def integrate(
 
     if drive.kind is DriveKind.CONTINUOUS:
         a0, wb = _stacked_generators([(params, drive)])
-        y = propagate(a0[0] + wb[0], GROUND, t_eval)
+        y = propagate(a0 + wb, GROUND, t_eval[None])[0]
     else:
         y = integrate_pulses([(params, drive)], t_eval)[0]
 
@@ -316,8 +318,8 @@ def _stacked_generators(cells: Sequence[tuple[DetectorParams, DriveSpec]]):
 def pm_at(cells: Sequence[tuple[DetectorParams, DriveSpec]], t_m) -> np.ndarray:
     """pm of N cells (params, drive) with one :func:`envelope_key`, cell k at
     its own time t_m[k] > 0; each cell must pass :func:`_check_preconditions`.
-    Continuous cells are one expm of the stack of A0 + omega_R B scaled by t_m,
-    slice by slice, so each gets the floats :func:`integrate` gives it. Pulse
+    Continuous cells are one :func:`propagate` call, cell k on the grid
+    (0, t_m[k]), so each gets the floats :func:`integrate` gives it. Pulse
     cells are one :func:`integrate_pulses` call on the grid of 0 and every t_m.
     A non-finite sample or a breached invariant raises, for the whole call."""
     key, t_m = envelope_key(cells[0][1]), np.asarray(t_m, dtype=float)
@@ -329,11 +331,7 @@ def pm_at(cells: Sequence[tuple[DetectorParams, DriveSpec]], t_m) -> np.ndarray:
         _check_invariants(t_eval, y)
         return y[np.arange(len(cells)), 3, np.searchsorted(t_eval, t_m)]
     a0, wb = _stacked_generators(cells)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in propagate
-        y = expm((a0 + wb) * t_m[:, None, None]) @ GROUND
-    bad = ~np.isfinite(y).all(axis=1)
-    if bad.any():
-        raise IntegrationError("propagator is not finite", t_m[np.argmax(bad)])
+    y = propagate(a0 + wb, GROUND, np.outer(t_m, [0.0, 1.0]))[..., -1]
     _check_invariants(t_m, y.T)  # one sample per cell, at its own t_m
     return y[:, 3]
 

@@ -73,8 +73,9 @@ def integrate_rate(params: DetectorParams, n_in: float, t_end: float):
 
     Returns (times, p) with p of shape (3, 400), sampled uniformly on [0, t_end].
     """
+    _require_finite("t_end", t_end, 0.0, strict=True, message="t_end must be > 0")
     t_eval = np.linspace(0.0, t_end, 400)
-    return t_eval, propagate(generator(params, n_in), [1.0, 0.0, 0.0], t_eval)
+    return t_eval, propagate(generator(params, n_in)[None], [1.0, 0.0, 0.0], t_eval[None])[0]
 
 
 def closed_form_drive_rate(params: DetectorParams, alpha_sq: float) -> float:

@@ -249,6 +249,11 @@ def _pm_at(params: DetectorParams, drive: DriveSpec, t_m: float) -> float:
     return float(meanfield.integrate(params, drive, t_m, n_samples=2).pm[-1])
 
 
+def _check_bracket(bracket) -> None:
+    if not 0.0 < bracket[0] < bracket[1] < math.inf:  # NaN fails too
+        raise ValueError(f"bracket must be finite with 0 < bracket[0] < bracket[1], got {bracket}")
+
+
 def optimize_gamma_tl(
     drive: DriveSpec,
     params: DetectorParams,
@@ -265,6 +270,7 @@ def optimize_gamma_tl(
         raise ValueError(f"optimize_gamma_tl needs a continuous drive, got {drive.kind.value}")
     meanfield._check_preconditions(params, drive)
     _require_finite("t_m", t_m, 0.0, strict=True)
+    _check_bracket(bracket)
     if params.gamma_1 == 0:
         raise ValueError("gamma_1 = 0: pm is 0 at every gamma_tl, so it has no maximum")
     coarse = np.linspace(math.log10(bracket[0]), math.log10(bracket[1]), COARSE_POINTS)
@@ -291,6 +297,8 @@ def grid_argmax_gamma_tl(
     points: int = 400,
 ) -> float:
     """Brute-force log-grid maximizer; independent oracle for the optimizer."""
+    _check_bracket(bracket)
+    _require_int("points", points, 1)
     grid = np.geomspace(bracket[0], bracket[1], points)
     vals = [_pm_at(replace(params, gamma_tl=g), drive, t_m) for g in grid]
     return float(grid[int(np.argmax(vals))])

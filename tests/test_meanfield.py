@@ -180,6 +180,45 @@ class TestExactContinuousPropagator:
         assert np.max(np.abs(components(traj) - ref)) < 1e-10
 
 
+class TestPropagate:
+    """The one expm stepper: a stack of generators, each on its own grid."""
+
+    @pytest.mark.parametrize("samples", [2, 37, 400])
+    def test_stack_is_bit_identical_to_each_generator_alone(self, samples):
+        rng = np.random.default_rng(samples)
+        cells = [(make_params(gamma_tl=10.0 ** rng.uniform(-2, 2), gamma_1=rng.uniform(0.1, 3.0),
+                              gamma_rel=rng.uniform(0.0, 0.5)),
+                  DriveSpec.continuous(10.0 ** rng.uniform(-3, 0.5), OMEGA)) for _ in range(30)]
+        a0, wb = meanfield._stacked_generators(cells)
+        t_eval = np.linspace(0.0, rng.uniform(0.5, 60.0, size=30), samples, axis=1)
+        y = meanfield.propagate(a0 + wb, meanfield.GROUND, t_eval)
+        assert y.shape == (30, 4, samples)
+        for k in range(30):
+            alone = meanfield.propagate((a0 + wb)[k:k + 1], meanfield.GROUND, t_eval[k:k + 1])
+            assert np.array_equal(y[k], alone[0])
+
+    def test_rate_generators_stack_too(self):
+        # the 3x3 rate model against integrate_rate, a stack of one
+        cases = [(make_params(gamma_tl=g, gamma_rel=0.3), n_in, t_end)
+                 for g, n_in, t_end in ((0.5, 2.0, 5.0), (1.0, 10.0, 20.0), (3.0, 0.1, 60.0))]
+        gens = np.stack([rate.generator(p, n_in) for p, n_in, _ in cases])
+        t_eval = np.linspace(0.0, [t_end for *_, t_end in cases], 400, axis=1)
+        y = meanfield.propagate(gens, [1.0, 0.0, 0.0], t_eval)
+        assert y.shape == (3, 3, 400)
+        for k, case in enumerate(cases):
+            t, alone = rate.integrate_rate(*case)
+            assert np.array_equal(t, t_eval[k])
+            assert np.array_equal(y[k], alone)
+
+    def test_overflowing_slice_fails_at_its_first_non_finite_time(self):
+        # p0 grows as e^(800 t), on a grid of step 0.1: e^(80 k) overflows at k = 9
+        gens = np.stack([np.zeros((4, 4)), 800.0 * np.eye(4), np.zeros((4, 4))])
+        t_eval = np.linspace(0.0, [5.0, 2.0, 7.0], 21, axis=1)
+        with pytest.raises(meanfield.IntegrationError, match="not finite") as err:
+            meanfield.propagate(gens, meanfield.GROUND, t_eval)
+        assert err.value.t_fail == t_eval[1, 9]
+
+
 #: A trapezoid-like pulse table starting at t = 0.5 ns.
 TABLE = ([0.5, 1.5, 3.0, 4.0], [0.0, 1.0, 0.6, 0.0])
 
@@ -404,6 +443,19 @@ class TestPmAt:
         pm = meanfield.pm_at(cells, t_m)
         assert pm.shape == (30,)
         assert all(pm[k] == pm_alone(p, d, t) for k, ((p, d), t) in enumerate(zip(cells, t_m)))
+
+    def test_continuous_call_is_one_propagate_call(self, monkeypatch):
+        stacks, propagate = [], meanfield.propagate
+
+        def spy(gens, *args):
+            stacks.append(gens.shape)
+            return propagate(gens, *args)
+
+        monkeypatch.setattr(meanfield, "propagate", spy)
+        cells = [(make_params(gamma_tl=g), DriveSpec.continuous(0.1, OMEGA)) for g in (0.5, 1, 2)]
+        meanfield.pm_at(cells, [5.0, 10.0, 20.0])
+        meanfield.pm_at(cells[:1], [5.0])
+        assert stacks == [(3, 4, 4), (1, 4, 4)]
 
     def test_pulse_cells_match_integrate(self):
         # t_m before, at and after the envelope's end in one call: LSODA serves

@@ -96,6 +96,11 @@ class TestClosedForm:
         assert np.max(np.abs(p1 - occ[1])) < 1e-12
         assert np.max(np.abs(pm - occ[2])) < 1e-12
 
+    @pytest.mark.parametrize("t_end", [-5.0, 0.0, math.nan])
+    def test_integrate_rejects_t_end_not_above_0(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            rate.integrate_rate(make_params(), 0.5, t_end)
+
     def test_no_measurement_rate(self):
         # gamma_1 = 0: nothing is ever measured, and p1 still follows the ODE
         p = make_params(gamma_tl=0.6, gamma_1=0.0)

@@ -674,6 +674,29 @@ class TestOptimizer:
             sweep.optimize_gamma_tl(DriveSpec.continuous(0.1, OMEGA), make_params(**kw), t_m)
         assert calls == integrated == []
 
+    @pytest.mark.parametrize("bracket", [(0.0, 1.0), (-1.0, 1.0), (0.01, math.inf), (10.0, 1.0),
+                                         (math.nan, 1.0)])
+    def test_rejects_a_bracket_without_finite_0_low_high(self, monkeypatch, bracket):
+        calls, integrated = spy_pm_at(monkeypatch)
+        d, p = DriveSpec.continuous(0.02, OMEGA), make_params()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bracket"):
+                sweep.optimize_gamma_tl(d, p, 20.0, bracket=bracket)
+            with pytest.raises(ValueError, match="bracket"):
+                sweep.grid_argmax_gamma_tl(d, p, 20.0, bracket=bracket)
+        assert calls == integrated == []
+
+    @pytest.mark.parametrize("points", [0, -3, 2.5])
+    def test_grid_oracle_rejects_points_below_1(self, monkeypatch, points):
+        calls, integrated = spy_pm_at(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="points"):
+                sweep.grid_argmax_gamma_tl(DriveSpec.continuous(0.02, OMEGA), make_params(), 20.0,
+                                           points=points)
+        assert integrated == []
+
     def test_rejects_a_pulse_drive(self, monkeypatch):
         # stacked pulse cells share one LSODA step sequence, so the coarse
         # grid would not get the floats the Brent steps get
