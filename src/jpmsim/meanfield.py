@@ -13,14 +13,13 @@ omega_R is constant for a continuous drive and carries the pulse envelope
 f(t) otherwise. A continuous drive makes the system linear and
 time-invariant, and it is propagated exactly with the matrix exponential
 (:func:`propagate`). Pulse drives are integrated by :func:`integrate_pulses`:
-LSODA, which switches to a stiff method when the rates call for it, with the
-exact Jacobian A0 + omega_R f(t) B, until the envelope ends. After that the
-drive is dropped and dy/dt = A0 y is solved in closed form: v and p1 decay,
-and what leaves p1 goes to p0 and pm. :func:`pm_at` gives pm of N cells in
-one call, where a sweep would make N: one :func:`propagate` call over the
-stack of their generators, or one LSODA call of a 4N-state system. This
-module assumes a single measurement event and no dark counts: gamma_res and
-gamma_0 must be zero.
+LSODA, which switches to a stiff method when the rates call for it, until the
+envelope ends. After that the drive is dropped and dy/dt = A0 y is solved in
+closed form: v and p1 decay, and what leaves p1 goes to p0 and pm.
+:func:`pm_at` gives pm of N cells in one call, where a sweep would make N: one
+:func:`propagate` call over the stack of their generators, or one LSODA call
+of a 4N-state system. This module assumes a single measurement event and no
+dark counts: gamma_res and gamma_0 must be zero.
 """
 
 from __future__ import annotations
@@ -56,10 +55,6 @@ ABS_TOL = 1e-11
 MAX_STEPS = 100_000
 
 GROUND = (0.0, 1.0, 0.0, 0.0)  # (v, p0, p1, pm)
-
-# Entry (i, j) of a 4x4 diagonal block sits at row 3 + i - j of LSODA's packed
-# band (lband = uband = 3), in the column of j.
-_BAND_ROW = 3 + np.subtract.outer(np.arange(4), np.arange(4))
 
 # B of generator(): omega_R drives v by p0 - p1, and p0 and p1 by -v/2 and +v/2
 _DRIVE = np.array([[0.0, 1.0, -1.0, 0.0], [-0.5, 0.0, 0.0, 0.0],
@@ -224,19 +219,20 @@ def integrate_pulses(
     cells: Sequence[tuple[DetectorParams, DriveSpec]], t_eval: np.ndarray
 ) -> np.ndarray:
     """Integrate N pulse-driven cells from the ground state as one 4N-state
-    system, y = (y_1, ..., y_N), with LSODA and the exact Jacobian until the
-    envelope ends, and in closed form after it.
+    system, y = (y_1, ..., y_N), with LSODA until the envelope ends, and in
+    closed form after it.
 
     ``cells`` holds (params, drive) pairs whose drives share one envelope;
     they may differ in alpha_sq and in every detector rate, and each must
     pass :func:`_check_preconditions` (the callers check). ``t_eval`` is the
-    increasing sample grid from 0. Returns y of shape (N, 4, len(t_eval)).
-    The Jacobian is block diagonal, one block A0_k + omega_R,k f(t) B per
-    cell, and LSODA gets it as a band. The right-hand side takes two small
-    products of the states Y = y.reshape(N, 4), with no (N, 4, 4) stack:
-    A0_k y_k is the column of Y that each row of A0 multiplies (Y @
-    _A0_PICK) times that row's one nonzero, and the drive part is
-    f(t) omega_R,k (Y @ B.T). A failed step raises IntegrationError; the
+    finite, increasing sample grid from 0. Returns y of shape
+    (N, 4, len(t_eval)). The Jacobian is block diagonal, one 4x4 block per
+    cell, so LSODA forms it, when its stiff method needs one, by differences
+    over a band of half-width 3: 7 right-hand-side calls whatever N is. The
+    right-hand side takes two small products of the states Y = y.reshape(N, 4),
+    with no (N, 4, 4) stack: A0_k y_k is the column of Y that each row of A0
+    multiplies (Y @ _A0_PICK) times that row's one nonzero, and the drive part
+    is f(t) omega_R,k (Y @ B.T). A failed step raises IntegrationError; the
     invariants are left to the caller.
 
     LSODA runs once, to t_cut = min(env.t_end, t_eval[-1]). Later samples drop
@@ -246,19 +242,18 @@ def integrate_pulses(
     e^(-g dt), and what leaves p1 goes to p0 and pm in the ratio
     gamma_tl + gamma_rel : gamma_1 (gamma_0 = 0).
     """
+    if not cells:
+        raise ValueError("integrate_pulses needs at least one cell")
     key = envelope_key(cells[0][1])
     if any(envelope_key(drive) != key for _, drive in cells):
         raise ValueError("stacked pulse cells must share one envelope")
     env = envelope_for(cells[0][1])  # before t_eval: a bad table is the error to report
-    if len(t_eval) < 2 or t_eval[0] != 0.0 or not np.all(np.diff(t_eval) > 0):
-        raise ValueError("t_eval must increase from 0 and hold at least two times")
+    if (len(t_eval) < 2 or t_eval[0] != 0.0 or not np.isfinite(t_eval).all()
+            or not np.all(np.diff(t_eval) > 0)):
+        raise ValueError("t_eval must be finite, increase from 0 and hold at least two times")
 
     n = len(cells)
     a0, wb = _stacked_generators(cells)  # wb[k] = omega_R,k B; f(t) is shared
-    band_col = 4 * np.arange(n)[:, None, None] + np.arange(4)
-    band_a0, band_wb = np.zeros((7, 4 * n)), np.zeros((7, 4 * n))
-    band_a0[_BAND_ROW, band_col] = a0
-    band_wb[_BAND_ROW, band_col] = wb
     # C-contiguous operands: strided ones made the right-hand side about 20 % slower
     rates, rabi = a0[:, _A0_ROWS, _A0_COLS], wb[:, 0, 1:2].copy()  # B[0, 1] = 1
     # A cell whose omega_R overflows gets an all-NaN derivative, as (A0 + f wb) y
@@ -274,9 +269,6 @@ def integrate_pulses(
         dy += env(t) * rabi * y.dot(drive_t)
         return dy.ravel()
 
-    def jac(t, y):
-        return band_a0 + env(t) * band_wb
-
     # Where the envelope is still ~0 at both ends of a step, LSODA sees no
     # error and can step over a pulse that starts late (a late t0, a table
     # that starts late), so the step is held to 1/16 of the support. An LSODA
@@ -286,7 +278,7 @@ def integrate_pulses(
     k = int(np.searchsorted(t_eval, t_cut, side="right"))  # samples up to t_cut
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", ODEintWarning)
-        head, info = odeint(rhs, np.tile(GROUND, n), np.union1d(t_eval[:k], [t_cut]), Dfun=jac,
+        head, info = odeint(rhs, np.tile(GROUND, n), np.union1d(t_eval[:k], [t_cut]),
                             ml=3, mu=3, rtol=REL_TOL, atol=ABS_TOL,
                             hmax=(env.t_end - env.t_start) / 16.0, mxstep=MAX_STEPS,
                             full_output=True, tfirst=True)
@@ -316,15 +308,19 @@ def _stacked_generators(cells: Sequence[tuple[DetectorParams, DriveSpec]]):
 
 
 def pm_at(cells: Sequence[tuple[DetectorParams, DriveSpec]], t_m) -> np.ndarray:
-    """pm of N cells (params, drive) with one :func:`envelope_key`, cell k at
-    its own time t_m[k] > 0; each cell must pass :func:`_check_preconditions`.
-    Continuous cells are one :func:`propagate` call, cell k on the grid
-    (0, t_m[k]), so each gets the floats :func:`integrate` gives it. Pulse
-    cells are one :func:`integrate_pulses` call on the grid of 0 and every t_m.
-    A non-finite sample or a breached invariant raises, for the whole call."""
+    """pm of N >= 1 cells (params, drive) with one :func:`envelope_key`, cell k
+    at its own finite time t_m[k] > 0; each cell must pass
+    :func:`_check_preconditions`. Continuous cells are one :func:`propagate`
+    call, cell k on the grid (0, t_m[k]), so each gets the floats
+    :func:`integrate` gives it. Pulse cells are one :func:`integrate_pulses`
+    call on the grid of 0 and every t_m. A non-finite sample or a breached
+    invariant raises, for the whole call."""
+    if not cells:
+        raise ValueError("pm_at needs at least one cell")
     key, t_m = envelope_key(cells[0][1]), np.asarray(t_m, dtype=float)
-    if any(envelope_key(drive) != key for _, drive in cells) or not np.all(t_m > 0):
-        raise ValueError("cells must share one envelope, each with t_m > 0")
+    if (any(envelope_key(drive) != key for _, drive in cells)
+            or not np.all(np.isfinite(t_m) & (t_m > 0))):
+        raise ValueError("cells must share one envelope, each with t_m > 0 and finite")
     if key[0] is not DriveKind.CONTINUOUS:
         t_eval = np.concatenate(([0.0], np.unique(t_m)))
         y = integrate_pulses(cells, t_eval)

@@ -40,3 +40,24 @@ def test_median_gap_against_parent_quartiles():
         assert (m["parent"]["q1"], m["parent"]["median"], m["parent"]["q3"]) == (2.0, 3.0, 4.0)
         assert m["median_gap_exceeds_parent_iqr"] is exceeds
     assert m["median_ratio_change_to_parent"] == pytest.approx(11.0 / 3.0)
+
+
+def test_src_digest_names_the_source_tree(tmp_path):
+    # equal trees give equal digests wherever they sit; a one-byte edit and
+    # a renamed file each change it; files outside src/ and other suffixes
+    # do not count
+    trees = [tmp_path / name for name in ("a", "b")]
+    for tree in trees:
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "src" / "pkg" / "__init__.py").write_text("x = 1\n")
+        (tree / "src" / "pkg" / "mod.py").write_text("y = 2\n")
+    (trees[1] / "README.md").write_text("notes\n")
+    (trees[1] / "src" / "pkg" / "data.txt").write_text("3\n")
+    digest = bench_pairs.src_digest(trees[0])
+    assert bench_pairs.src_digest(trees[1]) == digest
+    (trees[1] / "src" / "pkg" / "mod.py").write_text("y = 3\n")
+    assert bench_pairs.src_digest(trees[1]) != digest
+    (trees[1] / "src" / "pkg" / "mod.py").write_text("y = 2\n")
+    assert bench_pairs.src_digest(trees[1]) == digest
+    (trees[1] / "src" / "pkg" / "mod.py").rename(trees[1] / "src" / "pkg" / "other.py")
+    assert bench_pairs.src_digest(trees[1]) != digest

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+import test_sweep
 from jpmsim import analytic, meanfield, pulses, rate, sweep
 from jpmsim.core import DetectorParams, DriveKind, DriveSpec, omega_from_ghz
 
@@ -301,36 +302,24 @@ class TestPulseLSODA:
         assert y[0, 2, -1] > 0.0  # p1 was driven and is still decaying
         np.testing.assert_array_equal(y[1], np.tile(np.array(meanfield.GROUND)[:, None], 7))
 
-    def test_banded_jacobian_is_exact(self, monkeypatch):
-        # the right-hand side is linear in y, so its Jacobian has columns
-        # rhs(t, e_j); the band holds entry (i, j) at row i - j + 3 (mu = 3)
-        seen = {}
+    def test_lsoda_forms_the_banded_jacobian_itself(self, monkeypatch):
+        # no hand-built Jacobian: LSODA differences the right-hand side over a
+        # band of half-width 3, 7 calls whatever the number of cells; the
+        # stiff-corner grid (gamma_tl up to 1e4 GHz) ends on the stiff method,
+        # so it evaluates that Jacobian
+        seen = []
         odeint = meanfield.odeint
 
         def spy(func, y0, t, **kw):
-            seen.update(rhs=func, jac=kw["Dfun"], ml=kw["ml"], mu=kw["mu"])
-            return odeint(func, y0, t, **kw)
+            head, info = odeint(func, y0, t, **kw)
+            seen.append((kw, info))
+            return head, info
 
         monkeypatch.setattr(meanfield, "odeint", spy)
-        cells = [(make_params(gamma_tl=0.5, gamma_rel=0.1), DriveSpec.gaussian(0.2, OMEGA, 1.0)),
-                 (make_params(gamma_tl=3.0, gamma_1=2.0), DriveSpec.gaussian(1.5, OMEGA, 1.0))]
-        meanfield.integrate_pulses(cells, np.array([0.0, 2.0]))
-        assert (seen["ml"], seen["mu"]) == (3, 3)
-        t = 1.7
-        dense = np.column_stack([seen["rhs"](t, e) for e in np.eye(8)])
-        band = seen["jac"](t, np.zeros(8))
-        i, j = np.indices((8, 8))
-        inside = np.abs(i - j) <= 3
-        np.testing.assert_allclose(band[i[inside] - j[inside] + 3, j[inside]], dense[inside],
-                                   rtol=1e-14, atol=1e-15)
-        assert not dense[~inside].any()
-        # and each diagonal block is A0 + omega_R f(t) B of its own cell
-        env = pulses.envelope_for(cells[0][1])
-        for k, (p, d) in enumerate(cells):
-            a0, b = meanfield.generator(p)
-            block = dense[4 * k:4 * k + 4, 4 * k:4 * k + 4]
-            np.testing.assert_allclose(block, a0 + meanfield.rabi_frequency(p, d) * env(t) * b,
-                                       rtol=1e-14, atol=1e-15)
+        assert sweep.run_sweep(test_sweep.stacked_spec("stiff-corner")).errors == ()
+        [(kw, info)] = seen
+        assert (kw["ml"], kw["mu"]) == (3, 3) and "Dfun" not in kw
+        assert info["mused"][-1] == 2 and info["nje"][-1] > 0
 
     @pytest.mark.parametrize("n", [1, 64])
     def test_rhs_is_the_generator_product(self, monkeypatch, n):
@@ -419,11 +408,19 @@ class TestPulseLSODA:
             meanfield.integrate_pulses(cells, np.array([0.0, 5.0]))
 
     @pytest.mark.parametrize("t_eval", [[0.0], [1.0, 5.0], [0.0, 5.0, 5.0], [0.0, 5.0, 2.0],
-                                        [0.0, np.nan]])
+                                        [0.0, np.nan], [0.0, 5.0, np.inf]])
     def test_sample_grid_must_increase_from_zero(self, t_eval):
         cells = [(make_params(), DriveSpec.gaussian(1.0, OMEGA, 1.0))]
         with pytest.raises(ValueError, match="t_eval"):
             meanfield.integrate_pulses(cells, np.array(t_eval))
+
+    def test_needs_a_cell(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            meanfield.integrate_pulses([], np.array([0.0, 5.0]))
+
+
+CONTINUOUS = DriveSpec.continuous(0.1, OMEGA)
+GAUSSIAN = DriveSpec.gaussian(1.0, OMEGA, 1.0)
 
 
 def pm_alone(params, drive, t_m):
@@ -477,16 +474,26 @@ class TestPmAt:
         with pytest.raises(meanfield.IntegrationError, match="not finite"):
             meanfield.pm_at(cells, [10.0, 10.0])
 
-    @pytest.mark.parametrize("second,t_m", [
-        (DriveSpec.gaussian(1.0, OMEGA, 1.0), 5.0),  # a continuous and a pulse drive
-        (DriveSpec.continuous(0.3, OMEGA), 0.0),
-        (DriveSpec.continuous(0.3, OMEGA), -1.0),
-        (DriveSpec.continuous(0.3, OMEGA), np.nan),
-    ], ids=["two-envelopes", "t_m-0", "t_m-below-0", "t_m-nan"])
-    def test_rejects_cells_it_cannot_stack(self, second, t_m):
-        cells = [(make_params(), DriveSpec.continuous(0.1, OMEGA)), (make_params(), second)]
+    @pytest.mark.parametrize("first,second,t_m", [
+        (CONTINUOUS, GAUSSIAN, 5.0),  # a continuous and a pulse drive
+        (CONTINUOUS, DriveSpec.continuous(0.3, OMEGA), 0.0),
+        (CONTINUOUS, DriveSpec.continuous(0.3, OMEGA), -1.0),
+        (CONTINUOUS, DriveSpec.continuous(0.3, OMEGA), np.nan),
+        (CONTINUOUS, DriveSpec.continuous(0.3, OMEGA), np.inf),
+        (GAUSSIAN, replace(GAUSSIAN, alpha_sq=0.5), np.inf),
+        (DriveSpec.exponential(0.5, OMEGA, 1.0), DriveSpec.exponential(0.5, OMEGA, 1.0), np.inf),
+    ], ids=["two-envelopes", "t_m-0", "t_m-below-0", "t_m-nan", "t_m-inf", "gauss-t_m-inf",
+            "exp-t_m-inf"])
+    def test_rejects_cells_it_cannot_stack(self, first, second, t_m):
+        # an infinite t_m gave a finite pulse pm and a 0 * inf in the
+        # continuous grid; every warning is an error here
+        cells = [(make_params(), first), (make_params(), second)]
         with pytest.raises(ValueError, match="one envelope, each with t_m > 0"):
             meanfield.pm_at(cells, [5.0, t_m])
+
+    def test_needs_a_cell(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            meanfield.pm_at([], [])
 
     def test_continuous_drives_share_one_key(self):
         # kappa and sigma shape no continuous drive

@@ -10,11 +10,14 @@ hits both sides alike. Every run lasts BENCHMARK.json's ``run_seconds``.
 Writes ``BENCH_<workload>.json`` with each side's median and quartiles per
 end-to-end metric, how many pairs the change won per metric (ties count for
 neither), the raw final JSON line of every run and the machine it ran on.
+Each side is named by its git HEAD, where it has one, and by a sha256 of its
+``src/**/*.py``, which a ``git archive`` copy of a commit has as well.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -40,6 +43,16 @@ def git_rev(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 over the checkout's src/**/*.py in sorted order, each file as
+    its path relative to src/, its length and its bytes."""
+    src, digest = checkout / "src", hashlib.sha256()
+    for rel in sorted(path.relative_to(src).as_posix() for path in src.rglob("*.py")):
+        data = (src / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -128,6 +141,7 @@ def main(argv=None) -> int:
             "perfbench_env": runs["change"][0]["env"],
         },
         "revisions": {"parent": git_rev(args.parent), "change": git_rev(args.change)},
+        "src_sha256": {"parent": src_digest(args.parent), "change": src_digest(args.change)},
         "metrics": compare(runs, bench["end_to_end"]),
         "runs": runs,
     }
