@@ -28,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic, meanfield, pulses, rate, sweep
-from .core import DetectorParams, DriveSpec, omega_from_ghz, strict_json
+from .core import RATES, DetectorParams, DriveSpec, omega_from_ghz, strict_json
 
 
 #: Defaults of the detector parameters and the drive, shared by the flags and
@@ -67,14 +67,7 @@ def _add_rate_args(p: argparse.ArgumentParser, with_res: bool = True) -> None:
 def _params(values: dict) -> DetectorParams:
     """Detector parameters from flag values or a sweep spec's ``params`` block."""
     v = {**PARAM_DEFAULTS, **values}
-    return DetectorParams(
-        gamma_tl=v["gamma_tl"],
-        gamma_0=v["gamma_0"],
-        gamma_1=v["gamma_1"],
-        gamma_rel=v["gamma_rel"],
-        gamma_res=v["gamma_res"],
-        omega_0=omega_from_ghz(v["freq"]),
-    )
+    return DetectorParams(**{n: v[n] for n in RATES}, omega_0=omega_from_ghz(v["freq"]))
 
 
 def _drive(values: dict, omega_s: float) -> DriveSpec:

@@ -23,6 +23,9 @@ SIMPLEX_EPS = 1e-6
 
 _INF = math.inf
 
+#: The rates of a detector, each a finite number >= 0 [1/ns].
+RATES = ("gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res")
+
 
 def _require_finite(name: str, value, minimum: float = -sys.float_info.max,
                     strict: bool = False, message: str | None = None, mask: bool = False):
@@ -109,7 +112,7 @@ class DetectorParams:
     omega_0: float
 
     def __post_init__(self):
-        for name in ("gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res"):
+        for name in RATES:
             _require_finite(name, getattr(self, name), 0.0)
         _require_finite("omega_0", self.omega_0, 0.0, strict=True)
 

@@ -18,8 +18,9 @@ envelope ends. After that the drive is dropped and dy/dt = A0 y is solved in
 closed form: v and p1 decay, and what leaves p1 goes to p0 and pm.
 :func:`pm_at` gives pm of N cells in one call, where a sweep would make N: one
 :func:`propagate` call over the stack of their generators, or one LSODA call
-of a 4N-state system. This module assumes a single measurement event and no
-dark counts: gamma_res and gamma_0 must be zero.
+of a 4N-state system, for one detector and one drive whose rates and alpha_sq
+are scalars or (N,) arrays. This module assumes a single measurement event and
+no dark counts: gamma_res and gamma_0 must be zero.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,8 @@ import numpy as np
 from scipy.integrate import ODEintWarning, odeint, solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
-from .core import SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int
+from .core import (RATES, SIMPLEX_EPS, DetectorParams, DriveKind, DriveSpec, _require_finite,
+                   _require_int)
 from .pulses import envelope_for
 
 #: Default sampling past the pulse's end, in units of 1/gamma_1, to capture
@@ -100,12 +101,13 @@ class Trajectory:
                 w.writerow([f"{t:.9g}"] + [f"{c[i]:.12g}" for c in cols])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or NaN where it overflows; callers report
 def rabi_frequency(params: DetectorParams, drive: DriveSpec) -> float:
     """Constant Rabi rate of a continuous drive:
     omega_R = sqrt(2 alpha_sq gamma_tl omega_0 / pi).
 
     For pulse drives this returns the prefactor sqrt(2 alpha_sq gamma_tl / pi)
-    that multiplies the envelope f(t).
+    that multiplies the envelope f(t). Arrays give one rate per cell.
     """
     if drive.kind is DriveKind.CONTINUOUS:
         return np.sqrt(2.0 * drive.alpha_sq * params.gamma_tl * drive.omega_s / np.pi)
@@ -118,18 +120,41 @@ _A0_ROWS, _A0_COLS = np.arange(4), np.array([0, 2, 2, 2])
 _A0_PICK = (np.arange(4)[:, None] == _A0_COLS).astype(float)
 
 
-def _a0_stack(ps: Sequence[DetectorParams]) -> np.ndarray:
-    """The (N, 4, 4) stack of the A0 of :func:`generator` for N detectors ``ps``."""
-    a0 = np.zeros((len(ps), 4, 4))
-    a0[:, _A0_ROWS, _A0_COLS] = [(-0.5 * p.gamma_tilde, p.gamma_tl + p.gamma_rel, -p.gamma_tilde,
-                                  p.gamma_1) for p in ps]
-    return a0
+def _cell_count(params: DetectorParams, drive: DriveSpec, *t_m) -> int:
+    """The number N of cells: the one length of ``t_m``, which must be an
+    array, and of each rate and alpha_sq that is one; 1 where none is."""
+    shapes = {np.shape(v) for v in [getattr(params, n) for n in RATES] + [drive.alpha_sq]
+              if np.ndim(v)} | {np.shape(t) for t in t_m}
+    if len(shapes) > 1 or any(len(shape) != 1 or not shape[0] for shape in shapes):
+        raise ValueError("there must be at least one cell, and t_m and each array among the rates "
+                         f"and alpha_sq must be 1-d with one entry per cell; got {sorted(shapes)}")
+    return shapes.pop()[0] if shapes else 1
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf or NaN where they overflow; callers report
+def _a0_rates(params: DetectorParams, n: int = 1) -> np.ndarray:
+    """The (n, 4) nonzeros of the A0 of n cells, row i of A0 holding only
+    entry (i, _A0_COLS[i]); each rate is a scalar or has one entry per cell."""
+    gt, rates = params.gamma_tilde, np.empty((n, 4))
+    for j, rate in enumerate((-0.5 * gt, params.gamma_tl + params.gamma_rel, -gt, params.gamma_1)):
+        rates[:, j] = rate
+    return rates
+
+
+@np.errstate(invalid="ignore")  # omega_R = inf gives NaN, the callers report
+def _generators(params: DetectorParams, drive: DriveSpec, n: int = 1) -> np.ndarray:
+    """The (n, 4, 4) stack of A0 + omega_R B of n continuous-drive cells."""
+    a0 = np.zeros((n, 4, 4))
+    a0[:, _A0_ROWS, _A0_COLS] = _a0_rates(params, n)
+    return a0 + np.multiply.outer(rabi_frequency(params, drive), _DRIVE)
 
 
 def generator(params: DetectorParams) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 matrices (A0, B) of dy/dt = (A0 + omega_R(t) B) y for
     y = (v, p0, p1, pm): A0 holds the decay and tunneling rates, B the drive."""
-    return _a0_stack([params])[0], _DRIVE.copy()
+    a0 = np.zeros((4, 4))
+    a0[_A0_ROWS, _A0_COLS] = _a0_rates(params)[0]
+    return a0, _DRIVE.copy()
 
 
 def propagate(gens: np.ndarray, y0, t_eval: np.ndarray) -> np.ndarray:
@@ -153,16 +178,21 @@ def propagate(gens: np.ndarray, y0, t_eval: np.ndarray) -> np.ndarray:
     return y[..., 0].transpose(1, 2, 0)
 
 
-def _check_preconditions(params: DetectorParams, drive: DriveSpec) -> None:
+def _check_preconditions(params: DetectorParams, drive: DriveSpec):
+    """Whether the mean-field closure applies: the mask of the cells it
+    applies to; a scalar field that breaks it raises ValueError saying why."""
+    ok = True
     for name, assumes in (("gamma_0", "no dark counts"), ("gamma_res", "single measurement")):
-        if getattr(params, name) != 0.0:
+        value = getattr(params, name)
+        if isinstance(value, np.ndarray):
+            ok = ok & (value == 0.0)
+        elif value != 0.0:
             raise ValueError(f"mean-field closure assumes {name} = 0 ({assumes}); "
-                             f"got {name} = {getattr(params, name)}")
+                             f"got {name} = {value}")
     if not abs(drive.omega_s - params.omega_0) <= 1e-12 * params.omega_0:
-        raise ValueError(
-            f"only resonant drive supported: omega_s = {drive.omega_s} "
-            f"!= omega_0 = {params.omega_0}"
-        )
+        raise ValueError(f"only resonant drive supported: omega_s = {drive.omega_s} "
+                         f"!= omega_0 = {params.omega_0}")
+    return ok
 
 
 @np.errstate(over="ignore")  # a default that overflows raises below
@@ -205,27 +235,24 @@ def integrate(
     t_eval = np.linspace(0.0, t_end, n_samples)
 
     if drive.kind is DriveKind.CONTINUOUS:
-        a0, wb = _stacked_generators([(params, drive)])
-        y = propagate(a0 + wb, GROUND, t_eval[None])[0]
+        y = propagate(_generators(params, drive), GROUND, t_eval[None])[0]
     else:
-        y = integrate_pulses([(params, drive)], t_eval)[0]
+        y = integrate_pulses(params, drive, t_eval)[0]
 
     _check_invariants(t_eval, y)
     return Trajectory(times=t_eval, v=y[0], p0=y[1], p1=y[2], pm=y[3],
                       drive=drive, params=params)
 
 
-def integrate_pulses(
-    cells: Sequence[tuple[DetectorParams, DriveSpec]], t_eval: np.ndarray
-) -> np.ndarray:
+def integrate_pulses(params: DetectorParams, drive: DriveSpec, t_eval: np.ndarray) -> np.ndarray:
     """Integrate N pulse-driven cells from the ground state as one 4N-state
     system, y = (y_1, ..., y_N), with LSODA until the envelope ends, and in
     closed form after it.
 
-    ``cells`` holds (params, drive) pairs whose drives share one envelope;
-    they may differ in alpha_sq and in every detector rate, and each must
-    pass :func:`_check_preconditions` (the callers check). ``t_eval`` is the
-    finite, increasing sample grid from 0. Returns y of shape
+    The cells share the envelope of ``drive``; each rate and alpha_sq is a
+    scalar or an (N,) array, and N is 1 where none is an array. Every cell
+    must pass :func:`_check_preconditions` (the callers check). ``t_eval`` is
+    the finite, increasing sample grid from 0. Returns y of shape
     (N, 4, len(t_eval)). The Jacobian is block diagonal, one 4x4 block per
     cell, so LSODA forms it, when its stiff method needs one, by differences
     over a band of half-width 3: 7 right-hand-side calls whatever N is. The
@@ -242,23 +269,18 @@ def integrate_pulses(
     e^(-g dt), and what leaves p1 goes to p0 and pm in the ratio
     gamma_tl + gamma_rel : gamma_1 (gamma_0 = 0).
     """
-    if not cells:
-        raise ValueError("integrate_pulses needs at least one cell")
-    key = envelope_key(cells[0][1])
-    if any(envelope_key(drive) != key for _, drive in cells):
-        raise ValueError("stacked pulse cells must share one envelope")
-    env = envelope_for(cells[0][1])  # before t_eval: a bad table is the error to report
+    n = _cell_count(params, drive)
+    env = envelope_for(drive)  # before t_eval: a bad table is the error to report
     if (len(t_eval) < 2 or t_eval[0] != 0.0 or not np.isfinite(t_eval).all()
             or not np.all(np.diff(t_eval) > 0)):
         raise ValueError("t_eval must be finite, increase from 0 and hold at least two times")
 
-    n = len(cells)
-    a0, wb = _stacked_generators(cells)  # wb[k] = omega_R,k B; f(t) is shared
     # C-contiguous operands: strided ones made the right-hand side about 20 % slower
-    rates, rabi = a0[:, _A0_ROWS, _A0_COLS], wb[:, 0, 1:2].copy()  # B[0, 1] = 1
-    # A cell whose omega_R overflows gets an all-NaN derivative, as (A0 + f wb) y
-    # gave it, and ends in a NaN state; inf beside NaN makes LSODA stop with
-    # "illegal input" at a garbage time.
+    rates = _a0_rates(params, n)
+    rabi = np.broadcast_to(rabi_frequency(params, drive), n)[:, None].copy()  # f(t) is shared
+    # A cell whose omega_R overflows gets an all-NaN derivative, as
+    # (A0 + f omega_R B) y gives it, and ends in a NaN state; inf beside NaN
+    # makes LSODA stop with "illegal input" at a garbage time.
     rates[~np.isfinite(rabi[:, 0])] = np.nan
     drive_t = _DRIVE.T.copy()
 
@@ -300,45 +322,27 @@ def integrate_pulses(
     return np.concatenate([head[:k].T.reshape(n, 4, -1), np.stack(tail, axis=1)], axis=2)
 
 
-def _stacked_generators(cells: Sequence[tuple[DetectorParams, DriveSpec]]):
-    """The stacks (A0_k) and (omega_R,k B) of N cells, each of shape (N, 4, 4)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # wr = inf gives NaN, the callers report
-        rabi = np.array([rabi_frequency(p, d) for p, d in cells])
-        return _a0_stack([p for p, _ in cells]), rabi[:, None, None] * _DRIVE
-
-
-def pm_at(cells: Sequence[tuple[DetectorParams, DriveSpec]], t_m) -> np.ndarray:
-    """pm of N >= 1 cells (params, drive) with one :func:`envelope_key`, cell k
-    at its own finite time t_m[k] > 0; each cell must pass
-    :func:`_check_preconditions`. Continuous cells are one :func:`propagate`
-    call, cell k on the grid (0, t_m[k]), so each gets the floats
-    :func:`integrate` gives it. Pulse cells are one :func:`integrate_pulses`
-    call on the grid of 0 and every t_m. A non-finite sample or a breached
+def pm_at(params: DetectorParams, drive: DriveSpec, t_m) -> np.ndarray:
+    """pm of N >= 1 cells, cell k at its own finite time t_m[k] > 0: ``t_m``
+    is an (N,) array, each rate and alpha_sq a scalar or an (N,) array, and
+    every cell must pass :func:`_check_preconditions`. Continuous cells are
+    one :func:`propagate` call, cell k on the grid (0, t_m[k]), so each gets
+    the floats :func:`integrate` gives it. Pulse cells are one
+    :func:`integrate_pulses` call on the grid of 0 and every t_m, one cell
+    serving all where nothing is an array. A non-finite sample or a breached
     invariant raises, for the whole call."""
-    if not cells:
-        raise ValueError("pm_at needs at least one cell")
-    key, t_m = envelope_key(cells[0][1]), np.asarray(t_m, dtype=float)
-    if (any(envelope_key(drive) != key for _, drive in cells)
-            or not np.all(np.isfinite(t_m) & (t_m > 0))):
-        raise ValueError("cells must share one envelope, each with t_m > 0 and finite")
-    if key[0] is not DriveKind.CONTINUOUS:
+    t_m = np.asarray(t_m, dtype=float)
+    n = _cell_count(params, drive, t_m)
+    if not np.all(np.isfinite(t_m) & (t_m > 0)):
+        raise ValueError("every cell needs t_m > 0 and finite")
+    if drive.kind is not DriveKind.CONTINUOUS:
         t_eval = np.concatenate(([0.0], np.unique(t_m)))
-        y = integrate_pulses(cells, t_eval)
+        y = integrate_pulses(params, drive, t_eval)
         _check_invariants(t_eval, y)
-        return y[np.arange(len(cells)), 3, np.searchsorted(t_eval, t_m)]
-    a0, wb = _stacked_generators(cells)
-    y = propagate(a0 + wb, GROUND, np.outer(t_m, [0.0, 1.0]))[..., -1]
+        return y[np.arange(n) % len(y), 3, np.searchsorted(t_eval, t_m)]
+    y = propagate(_generators(params, drive, n), GROUND, np.outer(t_m, [0.0, 1.0]))[..., -1]
     _check_invariants(t_m, y.T)  # one sample per cell, at its own t_m
     return y[:, 3]
-
-
-def envelope_key(drive: DriveSpec) -> tuple:
-    """The fields of a drive that shape its envelope: drives with equal keys,
-    such as all continuous drives, can share one :func:`pm_at` call."""
-    if drive.kind is DriveKind.CONTINUOUS:
-        return (drive.kind,)
-    return (drive.kind, drive.kappa, drive.sigma, drive.t0, drive.paper_literal,
-            drive.table_t, drive.table_f)
 
 
 def _check_invariants(times: np.ndarray, y: np.ndarray) -> None:

@@ -3,11 +3,12 @@
 Every objective shares one grid model: each axis is checked by one array
 call of the rule its field has for scalars (``DetectorParams.check``,
 ``DriveSpec.check``), which gives a mask of the cells that can be built
-beside the mesh of swept values. A rate objective is evaluated on the whole
-mesh in one call of the rate closed forms, which broadcast over array-valued
-rates. The pm_at_tm cells that share one envelope, all continuous-drive
-cells among them, go into one :func:`meanfield.pm_at` call, as does the
-coarse grid of :func:`optimize_gamma_tl`. Failures are isolated per cell so
+beside the mesh of swept values. No cell is an object: the kernels take one
+detector and one drive whose fields are arrays of one entry per cell. A rate
+objective is one call of the rate closed forms on the whole mesh. The
+pm_at_tm cells that share one envelope, all continuous-drive cells among
+them, go into one :func:`meanfield.pm_at` call, as does the coarse grid of
+:func:`optimize_gamma_tl`. Failures are isolated per cell so
 a stiff corner cannot kill a whole run: a call that fails is retried in
 halves down to single cells, and a cell without a finite value is reported
 failed. Rate-like axes default to log scale since the interesting structure
@@ -16,7 +17,6 @@ spans decades.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import csv
 import functools
@@ -27,12 +27,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import meanfield, rate
-from .core import DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int, strict_json
+from .core import (RATES, DetectorParams, DriveKind, DriveSpec, _require_finite, _require_int,
+                   strict_json)
 
 #: Each sweepable name and the SweepSpec field a cell sets it on: the
 #: detector parameters, the drive or the measurement time.
 PARAM_TARGETS = {
-    **dict.fromkeys(("gamma_tl", "gamma_1", "gamma_0", "gamma_rel", "gamma_res"), "params"),
+    **dict.fromkeys(RATES, "params"),
     **dict.fromkeys(("alpha_sq", "kappa", "sigma"), "drive"),
     "t_m": "t_m",
 }
@@ -148,14 +149,18 @@ def _axis_ok(spec: SweepSpec, name: str, grid: np.ndarray) -> np.ndarray:
     return getattr(spec, PARAM_TARGETS[name]).check(name, grid)
 
 
+def _on_grid(obj, names, values: dict, shape):
+    """A copy of the detector or drive ``obj`` whose fields ``names`` are arrays
+    of ``shape``, of their ``values`` or else their own. run_sweep has checked
+    each value, so the copy skips __post_init__."""
+    obj = copy.copy(obj)
+    obj.__dict__.update({n: np.full(shape, values.get(n, getattr(obj, n))) for n in names})
+    return obj
+
+
 def _rate_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
     """The rate objective on the whole grid in one broadcast call."""
-    rates = {name: np.full(built.shape, mesh.get(name, getattr(spec.params, name)))
-             for name, target in PARAM_TARGETS.items() if target == "params"}
-    # run_sweep has checked each axis, so the array-valued copy skips
-    # DetectorParams.__post_init__
-    params = copy.copy(spec.params)
-    params.__dict__.update(rates)
+    params = _on_grid(spec.params, RATES, mesh, built.shape)
     if spec.objective == "steady_pm":
         values = rate.steady_state(params, spec.n_in)[2]
     elif spec.objective == "eta":
@@ -165,51 +170,44 @@ def _rate_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
     return np.where(built, values, np.nan)
 
 
-def _pm_at_cells(group: list, values: np.ndarray) -> None:
-    """pm_at_tm of cells (idx, params, drive, t_m) that share one envelope, in
-    one :func:`meanfield.pm_at` call. If it fails, each half of the group is
-    tried again the same way, so one failing cell costs about 2 log2(N) calls,
-    not N. A single cell that fails is left NaN."""
+def _pm_at_cells(params, drive, t_m, group: np.ndarray, values: np.ndarray) -> None:
+    """pm_at_tm of the cells ``group`` (flat indices) in one :func:`meanfield.pm_at`
+    call, from ``t_m``, ``params``' rates and ``drive``'s alpha_sq, all over the
+    grid. If it fails, each half of the group is tried again the same way, so
+    one failing cell costs about 2 log2(N) calls, not N; a single one is left NaN."""
+    def pick(obj, names):
+        return _on_grid(obj, names, {n: getattr(obj, n).flat[group] for n in names}, group.size)
+
     try:
-        pm = meanfield.pm_at([(p, d) for _, p, d, _ in group], [t_m for *_, t_m in group])
+        pm = meanfield.pm_at(pick(params, RATES), pick(drive, ["alpha_sq"]), t_m.flat[group])
     except Exception:  # isolated by halving
         if len(group) > 1:
-            _pm_at_cells(group[:len(group) // 2], values)
-            _pm_at_cells(group[len(group) // 2:], values)
+            _pm_at_cells(params, drive, t_m, group[:len(group) // 2], values)
+            _pm_at_cells(params, drive, t_m, group[len(group) // 2:], values)
         return
-    for (idx, *_), pm_k in zip(group, pm):
-        values[idx] = pm_k
+    values.flat[group] = pm
 
 
 def _pm_values(spec: SweepSpec, mesh: dict, built: np.ndarray) -> np.ndarray:
-    """pm_at_tm of each cell that can be built; the cells are gathered by
-    envelope, all continuous-drive cells into one group, and each group is
-    one :func:`meanfield.pm_at` call. A cell that fails is NaN. Each distinct
-    detector and drive is built once, not once per cell."""
-    values = np.full(built.shape, np.nan)
-    swept = {t: {name: m for name, m in mesh.items() if PARAM_TARGETS[name] == t}
-             for t in ("params", "drive")}
-    made = {}  # (target, its swept values) -> the detector or drive built from them
-
-    def build(target, fields, idx):
-        if not fields:  # the spec's own detector or drive
-            return getattr(spec, target)
-        key = (target, *(m[idx] for m in fields.values()))
-        if key not in made:
-            made[key] = replace(getattr(spec, target), **dict(zip(fields, key[1:])))
-        return made[key]
-
-    groups = {}  # envelope key -> cells that share it
-    for idx in zip(*np.nonzero(built)):
-        params, drive = (build(t, fields, idx) for t, fields in swept.items())
-        t_m = mesh["t_m"][idx] if "t_m" in mesh else spec.t_m
-        # checked per cell, as it takes two fields at once; a failing cell stays out
-        with contextlib.suppress(ValueError):
-            meanfield._check_preconditions(params, drive)
-            groups.setdefault(meanfield.envelope_key(drive), []).append(
-                (idx, params, drive, t_m))
-    for group in groups.values():
-        _pm_at_cells(group, values)
+    """pm_at_tm of each cell that can be built and that the mean-field closure
+    applies to, in one :func:`meanfield.pm_at` call per swept kappa and sigma
+    of a pulse drive, in row-major order. A cell that fails is NaN."""
+    values, t_m = np.full(built.shape, np.nan), np.full(built.shape, mesh.get("t_m", spec.t_m))
+    params = _on_grid(spec.params, RATES, mesh, built.shape)
+    try:
+        cells = np.flatnonzero(built & meanfield._check_preconditions(params, spec.drive))
+    except ValueError:  # omega_s != omega_0 fails every cell
+        return values
+    shaping = [n for n in ("kappa", "sigma")
+               if n in mesh and spec.drive.kind is not DriveKind.CONTINUOUS]
+    # without a shaping field the key is 0: one group, or none without cells
+    keys = np.column_stack([mesh[n].flat[cells] for n in shaping] or [np.zeros(cells.size)])
+    _, first, label = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    for g in np.argsort(first):  # each group in the order of its first cell
+        group = cells[label.ravel() == g]
+        envelope = {n: float(mesh[n].flat[group[0]]) for n in shaping}
+        drive = replace(spec.drive, **envelope) if envelope else spec.drive
+        _pm_at_cells(params, _on_grid(drive, ["alpha_sq"], mesh, built.shape), t_m, group, values)
     return values
 
 
@@ -274,8 +272,9 @@ def optimize_gamma_tl(
     if params.gamma_1 == 0:
         raise ValueError("gamma_1 = 0: pm is 0 at every gamma_tl, so it has no maximum")
     coarse = np.linspace(math.log10(bracket[0]), math.log10(bracket[1]), COARSE_POINTS)
-    vals = meanfield.pm_at([(replace(params, gamma_tl=10.0**x), drive) for x in coarse],
-                           np.full(COARSE_POINTS, t_m))
+    # scalar powers, as in the Brent steps: numpy's array power may round otherwise
+    grid = _on_grid(params, ["gamma_tl"], {"gamma_tl": [10.0**x for x in coarse]}, COARSE_POINTS)
+    vals = meanfield.pm_at(grid, drive, np.full(COARSE_POINTS, t_m))
     k = int(np.argmax(vals))
     if k == 0 or k == COARSE_POINTS - 1:
         return OptimizeResult(gamma_tl=10.0 ** coarse[k], pm=float(vals[k]), at_boundary=True)

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,26 @@ def test_src_digest_names_the_source_tree(tmp_path):
     assert bench_pairs.src_digest(trees[1]) == digest
     (trees[1] / "src" / "pkg" / "mod.py").rename(trees[1] / "src" / "pkg" / "other.py")
     assert bench_pairs.src_digest(trees[1]) != digest
+
+
+def test_git_rev_marks_a_dirty_source_tree(tmp_path):
+    # an edit under src/ marks the HEAD dirty; an edit outside src/ and
+    # perfbench/, such as the BENCH_*.json the tool writes, does not
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=bench",
+                        "-c", "user.email=bench@example.invalid", *args],
+                       check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text("x = 1\n")
+    (tmp_path / "BENCH_x.json").write_text("{}\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "initial")
+    head = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    assert bench_pairs.git_rev(tmp_path) == head
+    (tmp_path / "BENCH_x.json").write_text('{"pairs": 10}\n')
+    assert bench_pairs.git_rev(tmp_path) == head
+    (tmp_path / "src" / "mod.py").write_text("x = 2\n")
+    assert bench_pairs.git_rev(tmp_path) == head + "+dirty"

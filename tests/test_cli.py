@@ -660,9 +660,9 @@ def test_simulate_and_sweep_build_the_same_drive(
     seen = []
     integrate_pulses = meanfield.integrate_pulses
 
-    def spy(cells, *args):
-        seen.append(list(cells))
-        return integrate_pulses(cells, *args)
+    def spy(params, drive, t_eval):
+        seen.append((params, drive))
+        return integrate_pulses(params, drive, t_eval)
 
     monkeypatch.setattr(meanfield, "integrate_pulses", spy)
     assert main(["simulate", "--alpha-sq", "0.2", "--gamma-1", "1.3", *flags]) == 0

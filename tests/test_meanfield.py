@@ -1,3 +1,4 @@
+import copy
 import warnings
 from dataclasses import replace
 
@@ -8,9 +9,10 @@ from scipy.optimize import brentq
 
 import test_sweep
 from jpmsim import analytic, meanfield, pulses, rate, sweep
-from jpmsim.core import DetectorParams, DriveKind, DriveSpec, omega_from_ghz
+from jpmsim.core import DetectorParams, DriveSpec, omega_from_ghz
 
 OMEGA = omega_from_ghz(5.0)
+RATES = ("gamma_tl", "gamma_0", "gamma_1", "gamma_rel", "gamma_res")
 
 
 def make_params(**kw):
@@ -18,6 +20,22 @@ def make_params(**kw):
                 gamma_res=0.0, omega_0=OMEGA)
     base.update(kw)
     return DetectorParams(**base)
+
+
+def with_arrays(obj, **fields):
+    """A copy of a detector or drive with ``fields`` set, arrays among them."""
+    obj = copy.copy(obj)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def stacked(cells):
+    """One detector and one drive holding the rates and alpha_sq of the
+    (params, drive) pairs ``cells`` as (N,) arrays, with the first drive's
+    envelope."""
+    params, drive = cells[0]
+    return (with_arrays(params, **{n: np.array([getattr(p, n) for p, _ in cells]) for n in RATES}),
+            with_arrays(drive, alpha_sq=np.array([d.alpha_sq for _, d in cells])))
 
 
 class TestRabiFrequency:
@@ -190,12 +208,12 @@ class TestPropagate:
         cells = [(make_params(gamma_tl=10.0 ** rng.uniform(-2, 2), gamma_1=rng.uniform(0.1, 3.0),
                               gamma_rel=rng.uniform(0.0, 0.5)),
                   DriveSpec.continuous(10.0 ** rng.uniform(-3, 0.5), OMEGA)) for _ in range(30)]
-        a0, wb = meanfield._stacked_generators(cells)
+        gens = meanfield._generators(*stacked(cells), 30)
         t_eval = np.linspace(0.0, rng.uniform(0.5, 60.0, size=30), samples, axis=1)
-        y = meanfield.propagate(a0 + wb, meanfield.GROUND, t_eval)
+        y = meanfield.propagate(gens, meanfield.GROUND, t_eval)
         assert y.shape == (30, 4, samples)
         for k in range(30):
-            alone = meanfield.propagate((a0 + wb)[k:k + 1], meanfield.GROUND, t_eval[k:k + 1])
+            alone = meanfield.propagate(gens[k:k + 1], meanfield.GROUND, t_eval[k:k + 1])
             assert np.array_equal(y[k], alone[0])
 
     def test_rate_generators_stack_too(self):
@@ -265,7 +283,7 @@ class TestPulseLSODA:
         p = make_params(gamma_tl=0.3, gamma_1=0.2, gamma_rel=gamma_rel)
         t_end = pulses.envelope_for(drive).t_end
         times = np.concatenate(([0.0, t_end], t_end + np.geomspace(1e-3, 30.0, 8)))
-        y = meanfield.integrate_pulses([(p, drive)], times)[0]
+        y = meanfield.integrate_pulses(p, drive, times)[0]
         ref = dop853_pulse(p, drive, times)
         assert y[3, -1] - y[3, 1] > 5e-4  # pm still grows after the pulse
         assert np.max(np.abs(y - ref)) < 1e-8
@@ -296,7 +314,7 @@ class TestPulseLSODA:
         t_eval = np.linspace(0.0, 3.0 * pulses.envelope_for(drive).t_end, 7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = meanfield.integrate_pulses(cells, t_eval)
+            y = meanfield.integrate_pulses(*stacked(cells), t_eval)
         assert np.isfinite(y).all()
         assert not y[0, 3].any() and np.abs(y[0, 1] + y[0, 2] - 1.0).max() < 1e-12
         assert y[0, 2, -1] > 0.0  # p1 was driven and is still decaying
@@ -339,7 +357,7 @@ class TestPulseLSODA:
                               gamma_rel=(k % 2 == 0) * 0.3 * rng.random()),
                   replace(drive, alpha_sq=10.0 ** rng.uniform(-2, 0.7)))
                  for k, g1 in enumerate(10.0 ** rng.uniform(-1, 1, size=n))]
-        meanfield.integrate_pulses(cells, np.array([0.0, 2.0]))
+        meanfield.integrate_pulses(*stacked(cells), np.array([0.0, 2.0]))
         env = pulses.envelope_for(drive)
         blocks = [(meanfield.generator(p), meanfield.rabi_frequency(p, d)) for p, d in cells]
         for t in (0.3, 2.9, 6.1):
@@ -401,22 +419,17 @@ class TestPulseLSODA:
         assert traj.times[-1] == end + meanfield.PULSE_TAIL_FACTOR / 0.8
         assert traj.times[-1] == pulses.envelope_for(drive).t_end + 12.5
 
-    def test_stacked_cells_need_one_envelope(self):
-        p = make_params()
-        cells = [(p, DriveSpec.gaussian(1.0, OMEGA, 1.0)), (p, DriveSpec.gaussian(1.0, OMEGA, 2.0))]
-        with pytest.raises(ValueError, match="one envelope"):
-            meanfield.integrate_pulses(cells, np.array([0.0, 5.0]))
-
     @pytest.mark.parametrize("t_eval", [[0.0], [1.0, 5.0], [0.0, 5.0, 5.0], [0.0, 5.0, 2.0],
                                         [0.0, np.nan], [0.0, 5.0, np.inf]])
     def test_sample_grid_must_increase_from_zero(self, t_eval):
-        cells = [(make_params(), DriveSpec.gaussian(1.0, OMEGA, 1.0))]
         with pytest.raises(ValueError, match="t_eval"):
-            meanfield.integrate_pulses(cells, np.array(t_eval))
+            meanfield.integrate_pulses(make_params(), DriveSpec.gaussian(1.0, OMEGA, 1.0),
+                                       np.array(t_eval))
 
     def test_needs_a_cell(self):
         with pytest.raises(ValueError, match="at least one cell"):
-            meanfield.integrate_pulses([], np.array([0.0, 5.0]))
+            meanfield.integrate_pulses(with_arrays(make_params(), gamma_tl=np.array([])),
+                                       DriveSpec.gaussian(1.0, OMEGA, 1.0), np.array([0.0, 5.0]))
 
 
 CONTINUOUS = DriveSpec.continuous(0.1, OMEGA)
@@ -437,7 +450,7 @@ class TestPmAt:
             g = rng.uniform(0.01, 3.0, size=3)
             cells.append((make_params(gamma_tl=g[0], gamma_1=g[1], gamma_rel=0.2 * g[2]),
                           DriveSpec.continuous(rng.uniform(0.0, 2.0), OMEGA)))
-        pm = meanfield.pm_at(cells, t_m)
+        pm = meanfield.pm_at(*stacked(cells), t_m)
         assert pm.shape == (30,)
         assert all(pm[k] == pm_alone(p, d, t) for k, ((p, d), t) in enumerate(zip(cells, t_m)))
 
@@ -450,8 +463,8 @@ class TestPmAt:
 
         monkeypatch.setattr(meanfield, "propagate", spy)
         cells = [(make_params(gamma_tl=g), DriveSpec.continuous(0.1, OMEGA)) for g in (0.5, 1, 2)]
-        meanfield.pm_at(cells, [5.0, 10.0, 20.0])
-        meanfield.pm_at(cells[:1], [5.0])
+        meanfield.pm_at(*stacked(cells), [5.0, 10.0, 20.0])
+        meanfield.pm_at(*stacked(cells[:1]), [5.0])
         assert stacks == [(3, 4, 4), (1, 4, 4)]
 
     def test_pulse_cells_match_integrate(self):
@@ -464,7 +477,7 @@ class TestPmAt:
                      for g, r, a in ((0.5, 0.0, 0.2), (1.0, 0.3, 1.0), (2.0, 0.0, 3.0),
                                      (1.0, 0.0, 1.0))]
             t_m = [t_end + 6.5, 0.6 * t_end, t_end + 6.5, t_end]
-            pm = meanfield.pm_at(cells, t_m)
+            pm = meanfield.pm_at(*stacked(cells), t_m)
             for k, ((p, d), t) in enumerate(zip(cells, t_m)):
                 assert abs(pm[k] - pm_alone(p, d, t)) < 1e-8
 
@@ -472,34 +485,52 @@ class TestPmAt:
         cells = [(make_params(), DriveSpec.continuous(0.1, OMEGA)),
                  (make_params(gamma_tl=1e150), DriveSpec.continuous(0.1, OMEGA))]
         with pytest.raises(meanfield.IntegrationError, match="not finite"):
-            meanfield.pm_at(cells, [10.0, 10.0])
+            meanfield.pm_at(*stacked(cells), [10.0, 10.0])
 
     @pytest.mark.parametrize("first,second,t_m", [
-        (CONTINUOUS, GAUSSIAN, 5.0),  # a continuous and a pulse drive
         (CONTINUOUS, DriveSpec.continuous(0.3, OMEGA), 0.0),
         (CONTINUOUS, DriveSpec.continuous(0.3, OMEGA), -1.0),
         (CONTINUOUS, DriveSpec.continuous(0.3, OMEGA), np.nan),
         (CONTINUOUS, DriveSpec.continuous(0.3, OMEGA), np.inf),
         (GAUSSIAN, replace(GAUSSIAN, alpha_sq=0.5), np.inf),
         (DriveSpec.exponential(0.5, OMEGA, 1.0), DriveSpec.exponential(0.5, OMEGA, 1.0), np.inf),
-    ], ids=["two-envelopes", "t_m-0", "t_m-below-0", "t_m-nan", "t_m-inf", "gauss-t_m-inf",
-            "exp-t_m-inf"])
+    ], ids=["t_m-0", "t_m-below-0", "t_m-nan", "t_m-inf", "gauss-t_m-inf", "exp-t_m-inf"])
     def test_rejects_cells_it_cannot_stack(self, first, second, t_m):
         # an infinite t_m gave a finite pulse pm and a 0 * inf in the
         # continuous grid; every warning is an error here
         cells = [(make_params(), first), (make_params(), second)]
-        with pytest.raises(ValueError, match="one envelope, each with t_m > 0"):
-            meanfield.pm_at(cells, [5.0, t_m])
+        with pytest.raises(ValueError, match="t_m > 0 and finite"):
+            meanfield.pm_at(*stacked(cells), [5.0, t_m])
+
+    @pytest.mark.parametrize("drive,t_m", [
+        (GAUSSIAN, [5.0]),  # gave both cells pm at 5 ns
+        (GAUSSIAN, [5.0, 10.0, 20.0]),  # gave a bare IndexError
+        (CONTINUOUS, [5.0]),
+        (CONTINUOUS, 5.0),
+        (GAUSSIAN, [[5.0, 10.0]]),
+    ], ids=["gauss-one-time", "gauss-three-times", "continuous-one-time", "scalar-t_m", "2-d-t_m"])
+    def test_t_m_needs_one_entry_per_cell(self, drive, t_m):
+        params, drive = stacked([(make_params(gamma_tl=g), drive) for g in (0.5, 2.0)])
+        with pytest.raises(ValueError, match="one entry per cell"):
+            meanfield.pm_at(params, drive, t_m)
+
+    def test_rates_need_one_length(self):
+        params = with_arrays(make_params(), gamma_tl=np.array([0.5, 2.0]),
+                             gamma_1=np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="one entry per cell"):
+            meanfield.pm_at(params, CONTINUOUS, [5.0, 5.0])
+
+    @pytest.mark.parametrize("drive", [CONTINUOUS, GAUSSIAN], ids=["continuous", "gauss"])
+    def test_scalar_cell_serves_every_t_m(self, drive):
+        t_m = [12.0, 3.0, 7.5]
+        pm = meanfield.pm_at(make_params(), drive, t_m)
+        assert pm.shape == (3,)
+        assert all(abs(pm[k] - pm_alone(make_params(), drive, t)) < 1e-8
+                   for k, t in enumerate(t_m))
 
     def test_needs_a_cell(self):
         with pytest.raises(ValueError, match="at least one cell"):
-            meanfield.pm_at([], [])
-
-    def test_continuous_drives_share_one_key(self):
-        # kappa and sigma shape no continuous drive
-        keys = {meanfield.envelope_key(DriveSpec(DriveKind.CONTINUOUS, a, OMEGA, kappa=k))
-                for a, k in ((0.1, None), (2.0, 1.0), (0.5, 3.0))}
-        assert len(keys) == 1
+            meanfield.pm_at(make_params(), GAUSSIAN, [])
 
 
 class TestGenerator:

@@ -246,18 +246,18 @@ def stacked_spec(name):
     return sweep.SweepSpec(axis1=axis1, axis2=axis2, params=params, drive=drive, t_m=t_m)
 
 
-def spy_pm_at(monkeypatch, fails=lambda cells: False):
+def spy_pm_at(monkeypatch, fails=lambda params, drive: False):
     """Two lists that record, from now on, the number of cells of each
     meanfield.pm_at call and one entry per meanfield.integrate call; a pm_at
-    call whose cells ``fails`` raises IntegrationError."""
+    call whose detector and drive ``fails`` raises IntegrationError."""
     calls, integrated = [], []
     pm_at, integrate = meanfield.pm_at, meanfield.integrate
 
-    def spy(cells, *args):
-        calls.append(len(cells))
-        if fails(cells):
+    def spy(params, drive, t_m):
+        calls.append(len(t_m))
+        if fails(params, drive):
             raise meanfield.IntegrationError("injected", 0.0)
-        return pm_at(cells, *args)
+        return pm_at(params, drive, t_m)
 
     def spy_integrate(*args, **kwargs):
         integrated.append(1)
@@ -301,12 +301,30 @@ class TestStackedPulses:
         assert integrated == []
 
     @pytest.mark.parametrize("cls", [DetectorParams, DriveSpec])
-    def test_builds_each_swept_detector_and_drive_once(self, monkeypatch, cls):
-        # an 8x8 gamma_tl x alpha_sq grid has 8 detectors and 8 drives
+    def test_builds_no_detector_or_drive_per_cell(self, monkeypatch, cls):
+        # the 64 cells of an 8x8 gamma_tl x alpha_sq grid are array entries
+        # of one copied detector and drive, as for the rate objectives
         spec = sweep.SweepSpec(axis1=Ax("gamma_tl", 0.2, 5.0, 8), axis2=Ax("alpha_sq", 0.05, 3.0, 8),
                                params=make_params(gamma_rel=0.3),
                                drive=DriveSpec.gaussian(1.0, OMEGA, 1.2), t_m=15.0)
-        assert count_built(monkeypatch, spec, [cls]) == 8
+        assert count_built(monkeypatch, spec, [cls]) == 0
+
+    def test_builds_one_drive_per_envelope_group(self, monkeypatch):
+        # swept-sigma: 3 widths, so 3 drives, each with its sigma as a float
+        seen = []
+        pm_at = meanfield.pm_at
+
+        def spy(params, drive, t_m):
+            seen.append(drive)
+            return pm_at(params, drive, t_m)
+
+        monkeypatch.setattr(meanfield, "pm_at", spy)
+        spec = stacked_spec("swept-sigma")
+        assert count_built(monkeypatch, spec, [DetectorParams]) == 0
+        assert count_built(monkeypatch, spec, [DriveSpec]) == 3
+        sigmas = [d.sigma for d in seen[-3:]]
+        assert [type(s) for s in sigmas] == [float] * 3
+        assert sigmas == spec.axis1.grid().tolist()
 
     @pytest.mark.parametrize("axis1", [Ax("gamma_rel", 0.01, 1.0, 8), Ax("t_m", 0.5, 40.0, 8)],
                              ids=["gamma_rel", "t_m"])
@@ -327,9 +345,10 @@ class TestStackedPulses:
         calls = []
         integrate_pulses = meanfield.integrate_pulses
 
-        def spy(cells, *args):
-            calls.append(len(cells))
-            return integrate_pulses(cells, *args)
+        def spy(params, drive, t_eval):
+            y = integrate_pulses(params, drive, t_eval)
+            calls.append(len(y))
+            return y
 
         monkeypatch.setattr(meanfield, "integrate_pulses", spy)
         res = sweep.run_sweep(spec)
@@ -349,12 +368,12 @@ class TestStackedPulses:
         expected = sweep.run_sweep(spec)
         integrate_pulses = meanfield.integrate_pulses
 
-        def faulty(cells, *args):
-            if len(cells) == 1:  # one-cell calls, from integrate, are left alone
-                return integrate_pulses(cells, *args)
+        def faulty(params, drive, t_eval):
+            if np.size(params.gamma_tl) == 1:  # one-cell calls, from integrate, are left alone
+                return integrate_pulses(params, drive, t_eval)
             if fault == "call-fails":
                 raise meanfield.IntegrationError("injected", 0.0)
-            y = integrate_pulses(cells, *args)
+            y = integrate_pulses(params, drive, t_eval)
             y[1, 3, -1] = np.nan
             return y
 
@@ -376,7 +395,7 @@ class TestStackedPulses:
         expected = sweep.run_sweep(spec)
         bad_alpha_sq = expected.axis1_values[bad]
         calls, _ = spy_pm_at(
-            monkeypatch, fails=lambda cells: any(d.alpha_sq == bad_alpha_sq for _, d in cells))
+            monkeypatch, fails=lambda params, drive: np.any(drive.alpha_sq == bad_alpha_sq))
         res = sweep.run_sweep(spec)
         assert res.errors == ((bad,),)
         assert len(calls) <= 2 * math.log2(16) + 1 < 16
@@ -461,8 +480,8 @@ def rate_spec(name, objective, seed):
                            objective=objective, n_in=0.3)
 
 
-def count_built(monkeypatch, spec, classes=(DetectorParams, DriveSpec)):
-    """How many objects of ``classes`` run_sweep(spec) builds."""
+def count_built(monkeypatch, spec, classes=(DetectorParams, DriveSpec), run=sweep.run_sweep):
+    """How many objects of ``classes`` run(spec) builds."""
     built = []
     for cls in classes:
         def spy(self, init=cls.__post_init__):
@@ -470,7 +489,7 @@ def count_built(monkeypatch, spec, classes=(DetectorParams, DriveSpec)):
             init(self)
 
         monkeypatch.setattr(cls, "__post_init__", spy)
-    sweep.run_sweep(spec)
+    run(spec)
     return len(built)
 
 
@@ -564,10 +583,10 @@ class TestContinuousPm:
             assert (tmp_path / "res.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_checks_each_axis_value_once(self, monkeypatch):
-        # each axis is checked by one array call, then only the 3 x 3 cells
-        # whose gamma_tl and gamma_0 are both >= 0 are built
+        # each axis is checked by one array call, and the 3 x 3 cells whose
+        # gamma_tl and gamma_0 are both >= 0 are array entries, not objects
         spec = replace(rate_spec("rates-below-0", "eta", 1), objective="pm_at_tm", t_m=5.0)
-        assert count_built(monkeypatch, spec) == 3 * 3
+        assert count_built(monkeypatch, spec) == 0
 
 
 class TestExports:
@@ -650,6 +669,16 @@ class TestOptimizer:
         # perfbench/spans.py counts the meanfield.integrate calls under
         # optimize_gamma_tl (sweep.evals_per_optimize); the Brent steps make them
         assert len(integrated) >= 1
+
+    def test_builds_one_detector_per_brent_step(self, monkeypatch):
+        # the coarse grid is one copied detector with 25 gamma_tl; each Brent
+        # step builds its own, checked, detector
+        calls, integrated = spy_pm_at(monkeypatch)
+        inputs = (DriveSpec.continuous(0.02, OMEGA), make_params(), 50.0)
+        built = count_built(monkeypatch, inputs, [DetectorParams],
+                            run=lambda args: sweep.optimize_gamma_tl(*args))
+        assert calls == [sweep.COARSE_POINTS]
+        assert built == len(integrated) >= 1
 
     def test_same_floats_as_a_serial_coarse_grid(self):
         # expm works slice by slice, so each stacked cell gets the floats of

@@ -10,7 +10,8 @@ hits both sides alike. Every run lasts BENCHMARK.json's ``run_seconds``.
 Writes ``BENCH_<workload>.json`` with each side's median and quartiles per
 end-to-end metric, how many pairs the change won per metric (ties count for
 neither), the raw final JSON line of every run and the machine it ran on.
-Each side is named by its git HEAD, where it has one, and by a sha256 of its
+Each side is named by its git HEAD, where it has one, marked ``+dirty`` where
+``src/`` or ``perfbench/`` differ from it, and by a sha256 of its
 ``src/**/*.py``, which a ``git archive`` copy of a commit has as well.
 """
 
@@ -40,9 +41,17 @@ def parse_args(argv=None):
 
 
 def git_rev(checkout: Path) -> str | None:
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    """The checkout's HEAD, as ``<sha>+dirty`` where ``git status`` lists a
+    file under src/ or perfbench/ (not the BENCH_*.json this tool writes);
+    None outside a git repository."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+
+    proc = git("rev-parse", "HEAD")
+    if proc.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--", "src", "perfbench").stdout.strip()
+    return proc.stdout.strip() + ("+dirty" if dirty else "")
 
 
 def src_digest(checkout: Path) -> str:
